@@ -3,6 +3,7 @@
     python3 perfbench/child.py prepare
     python3 perfbench/child.py run    WORKLOAD --seed N --seconds S --run-dir DIR
     python3 perfbench/child.py replay WORKLOAD --seed N --run-dir DIR
+    python3 perfbench/child.py part   paper-uo --part-seed S --seconds S
 
 Lines before the last are for people; the last line is one JSON object.
 """
@@ -24,11 +25,12 @@ WORKLOADS = {"paper-uo": paper_uo, "write-mix": write_mix}
 
 def main() -> int:
     parser = argparse.ArgumentParser()
-    parser.add_argument("step", choices=["prepare", "run", "replay"])
+    parser.add_argument("step", choices=["prepare", "run", "replay", "part"])
     parser.add_argument("workload", nargs="?", choices=sorted(WORKLOADS))
     parser.add_argument("--seed", type=int, default=0)
     parser.add_argument("--seconds", type=float, default=10.0)
     parser.add_argument("--run-dir", type=Path)
+    parser.add_argument("--part-seed", default="0")
     args = parser.parse_args()
 
     def say(line: str) -> None:
@@ -39,7 +41,9 @@ def main() -> int:
         print(json.dumps({"ok": True}))
         return 0
     module = WORKLOADS[args.workload]
-    if args.step == "run":
+    if args.step == "part":
+        out = paper_uo.timed_part(args.part_seed, args.seconds)
+    elif args.step == "run":
         out = module.run(args.seed, args.seconds, say, args.run_dir)
     else:
         clock = LayerClock()

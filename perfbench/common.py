@@ -8,10 +8,12 @@ benchmark files can time any later version of ``src/``.
 
 from __future__ import annotations
 
+import gc
 import http.client
 import json
 import math
 import os
+import random
 import re
 import shutil
 import signal
@@ -20,7 +22,7 @@ import sys
 import time
 import urllib.parse
 from pathlib import Path
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 #: Root of the checkout the benchmark runs in.
 ROOT = Path(__file__).resolve().parent.parent
@@ -142,6 +144,71 @@ def latency_summary(
         "tail_ms": percentile(values, tail) * 1000.0,
         "n": n,
     }
+
+
+# ----------------------------------------------------------------------
+# host speed
+# ----------------------------------------------------------------------
+#: The yardstick's time on a quiet vCPU of a 2.0 GHz Xeon; scaled
+#: timings read as seconds on a host that runs the yardstick this fast.
+YARDSTICK_S = 0.004
+
+
+class Yardstick:
+    """A fixed pure-Python hash join, timed around each of the program's
+    operations.
+
+    On a shared VM the host's speed swings by 30-50% within seconds and
+    drifts as much over minutes, so a whole run can sit in a slow spell
+    and even an operation's fastest time over the run follows the host.
+    The yardstick uses builtins only and lives in the benchmark, so no
+    change to the program moves it (it runs with the garbage collector
+    off, whatever the program sets).  ``measure`` times an operation
+    between two ticks and divides by their mean: the operation's cost in
+    yardsticks at that moment, which the host's speed cancels out of,
+    given back as seconds at the fixed speed of ``YARDSTICK_S``.
+    """
+
+    def __init__(self) -> None:
+        rng = random.Random(7)
+        self._rows = [(i, rng.randrange(20000)) for i in range(10000)]
+        self._index: Dict[int, List[int]] = {}
+        for k in range(40000):
+            self._index.setdefault(rng.randrange(20000), []).append(k)
+        self.times: List[float] = []
+
+    def tick(self) -> float:
+        """Run the yardstick once; return (and keep) its time."""
+        index, out = self._index, []
+        collecting = gc.isenabled()
+        gc.disable()
+        try:
+            started = time.perf_counter()
+            for left, key in self._rows:
+                matches = index.get(key)
+                if matches is not None:
+                    for right in matches:
+                        out.append((left, right))
+            took = time.perf_counter() - started
+        finally:
+            if collecting:
+                gc.enable()
+        self.times.append(took)
+        return took
+
+    def measure(self, operation: Callable[[], object]) -> Tuple[object, float, float]:
+        """Run ``operation`` after the last tick and before a new one.
+
+        Returns its result, its time in seconds, and its time scaled to
+        the fixed speed.  Call ``tick()`` first after any other work, so
+        the tick before is the operation's neighbour.
+        """
+        before = self.times[-1] if self.times else self.tick()
+        started = time.perf_counter()
+        value = operation()
+        took = time.perf_counter() - started
+        after = self.tick()
+        return value, took, took * 2.0 * YARDSTICK_S / (before + after)
 
 
 # ----------------------------------------------------------------------

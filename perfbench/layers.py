@@ -89,6 +89,9 @@ CATALOGUE: List[Tuple[str, str, str, str]] = [
     # the benchmark itself
     ("client.failed_share", "ratio", "lower", "every read and write metric on every workload"),
     ("trace.overhead_share", "ratio", "lower", "nothing: what tracing adds to the same requests"),
+    # the host
+    ("host.raw_pass_s", "s", "lower", "pass_s on paper-uo: each query's fastest time, unscaled"),
+    ("host.yardstick_ms", "ms", "lower", "nothing: the host speed that scales pass_s and read_p50_ms on paper-uo"),
 ]
 
 #: Physical-path counters summed from ``QueryResult.exec_counters``.

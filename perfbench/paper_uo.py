@@ -3,8 +3,10 @@
 LUBM u13 and DBpedia a1500, q1.1-q2.6, on both host engines.  The timed
 phase runs ``full`` passes only (the product); ``base`` runs only in the
 correctness pass, which gives the per-query full/base table and
-``core.base_pass_s``.  Bag joins, BGP scans, candidate pruning and
-decode do nearly all the work; the parser, the server and writes none.
+``core.base_pass_s``; the timed passes run in fresh processes, against
+the yardstick (``common.Yardstick``).  Bag joins, BGP scans, candidate
+pruning and decode do nearly all the work; the parser, the server and
+writes none.
 """
 
 from __future__ import annotations
@@ -14,12 +16,14 @@ import hashlib
 import json
 import random
 import resource
+import subprocess
+import sys
 import time
 from pathlib import Path
 from statistics import median
 from typing import Dict, List, Tuple
 
-from common import latency_summary, snapshot_file
+from common import Yardstick, latency_summary, percentile, snapshot_file
 from layers import Alternation, LayerClock, observe_result
 
 DATASETS = ("lubm", "dbpedia")
@@ -28,6 +32,11 @@ MODES = ("full", "base")
 EXPECTED_FILE = Path(__file__).resolve().parent / "expected_counts.json"
 #: 48 queries support p75 (12 samples beyond it).
 TAIL = 75
+#: Set-ups per run; setup_s is their median.
+SETUPS = 15
+#: Fresh processes that share the timed phase (see timed_part).
+PARTS = 4
+CHILD = Path(__file__).resolve().parent / "child.py"
 #: The inversion known before this benchmark existed (q2.2 on wco).
 KNOWN_INVERSION = ("lubm", "wco", "q2.2")
 
@@ -70,17 +79,22 @@ def run(seed: int, seconds: float, say, run_dir: Path) -> dict:
     problems: List[str] = []
     attempted = 0
 
-    setups = []
+    # Every timing below is taken between two yardstick ticks and scaled
+    # to the yardstick's fixed speed (see common.Yardstick).
+    yardstick = Yardstick()
+    setups: List[float] = []
+    raw_setups: List[float] = []
     engines: Dict[Key, object] = {}
-    for _ in range(3):
+    for _ in range(SETUPS):
         engines = {}
         gc.collect()
-        started = time.perf_counter()
-        engines = open_engines()
-        setups.append(time.perf_counter() - started)
+        yardstick.tick()
+        engines, took, scaled = yardstick.measure(open_engines)
+        raw_setups.append(took)
+        setups.append(scaled)
 
-    # Correctness (and warm-up): every query on every engine and mode,
-    # planned first so the timing below is a warm-plan execution.  Cheap
+    # Correctness: every query on every engine and mode, planned first
+    # so the full/base table times warm-plan executions.  Cheap
     # queries run up to three times (fastest kept) so the full/base table
     # is less at the mercy of the VM's speed swings.
     warm_ms: Dict[Tuple[str, str, str, str], float] = {}
@@ -106,57 +120,128 @@ def run(seed: int, seconds: float, say, run_dir: Path) -> dict:
         if len(digests) != 1:
             problems.append(f"{dataset} {query}: results differ across engines and modes")
 
-    # Timed phase: full passes in a seeded order until time is up.  On a
-    # shared VM the CPU's speed swings by 30-50% within seconds (see
-    # run.py); a query's fastest time over the run is its cost with the
-    # VM left alone, and every query gets one chance per pass.
-    rng = random.Random(seed)
-    order = [(d, e, q) for (d, q) in texts for e in ENGINES]
-    per_query: Dict[Tuple[str, str, str], List[float]] = {key: [] for key in order}
-    passes: List[float] = []
-    deadline = time.perf_counter() + seconds
-    while len(passes) < 2 or time.perf_counter() < deadline:
-        rng.shuffle(order)
-        pass_start = time.perf_counter()
-        for dataset, engine, query in order:
-            started = time.perf_counter()
-            result = engines[(dataset, engine, "full")].execute(texts[(dataset, query)])
-            per_query[(dataset, engine, query)].append(time.perf_counter() - started)
-            if len(result) != expected[dataset][query]:
-                problems.append(f"{dataset} {query} {engine}/full: {len(result)} rows in pass")
-        passes.append(time.perf_counter() - pass_start)
-        attempted += len(order)
-
-    fastest = [min(times) for times in per_query.values()]
-    reads = latency_summary(fastest, TAIL)
+    # Timed phase: PARTS fresh processes, one after another, share the
+    # run's seconds (see timed_part).  A query's cost is the lower
+    # quartile of its scaled times in the warm passes of all processes:
+    # the host is quiet in some passes, and the yardstick corrects what
+    # is left of its speed in those.
+    parts = [spawn_part(f"{seed}.{index}", seconds / PARTS) for index in range(PARTS)]
+    for part in parts:
+        problems += part["problems"]
+        attempted += part["attempted"]
+    keys = list(parts[0]["scaled"])
+    costs = {key: query_cost([part["scaled"][key] for part in parts]) for key in keys}
+    reads = latency_summary(list(costs.values()), TAIL)
+    raw_fastest = {key: min(min(part["raw"][key]) for part in parts) for key in keys}
+    raw_pass = sum(raw_fastest.values())
+    part_passes = [sum(query_cost([times]) for times in part["scaled"].values()) for part in parts]
+    ticks = [tick for part in parts for tick in part["yardstick"]]
     base_pass = sum(ms for (_, _, mode, _), ms in warm_ms.items() if mode == "base") / 1000
-    say(f"paper-uo: {len(passes)} full passes over {len(order)} queries; the fastest time of "
-        f"each query sums to {sum(fastest):.3f} s (median pass {median(passes):.3f} s); "
-        f"fastest-time p50 {reads['p50_ms']:.2f} ms, p{TAIL} {reads['tail_ms']:.2f} ms "
-        f"(n={reads['n']}); base pass (warm) {base_pass:.3f} s")
-    say("per-query full/base (warm, fastest of up to 3 runs; timed_full_ms: fastest in the timed passes):")
+    say(f"paper-uo: {sum(len(part['passes']) for part in parts)} full passes over "
+        f"{len(keys)} queries in {PARTS} processes, with the yardstick (median pass "
+        f"{median(p for part in parts for p in part['passes']):.3f} s); unscaled, the fastest "
+        f"time of each query sums to {raw_pass:.3f} s; yardstick median "
+        f"{median(ticks) * 1000:.3f} ms, fastest {min(ticks) * 1000:.3f} ms (n={len(ticks)})")
+    say(f"scaled to the yardstick: pass {sum(costs.values()):.3f} s (per process "
+        f"{' '.join(f'{p:.3f}' for p in part_passes)} s), query p50 {reads['p50_ms']:.2f} ms, "
+        f"p{TAIL} {reads['tail_ms']:.2f} ms (n={reads['n']}); set-ups "
+        f"{' '.join(f'{s:.3f}' for s in sorted(setups))} s (unscaled "
+        f"{' '.join(f'{s:.3f}' for s in sorted(raw_setups))} s); "
+        f"base pass (warm, unscaled) {base_pass:.3f} s")
+    say("per-query full/base (warm, fastest of up to 3 runs; timed_full_ms: fastest in the "
+        "timed passes; scaled_ms: the query's cost in pass_s):")
     say(f"  {'dataset':8} {'query':5} {'engine':8} {'full_ms':>9} {'base_ms':>9} "
-        f"{'full/base':>9} {'timed_full_ms':>13}")
+        f"{'full/base':>9} {'timed_full_ms':>13} {'scaled_ms':>9}")
     for dataset, query in texts:
         for engine in ENGINES:
             full = warm_ms[(dataset, engine, "full", query)]
             base = warm_ms[(dataset, engine, "base", query)]
-            timed = min(per_query[(dataset, engine, query)]) * 1000
+            key = part_key(dataset, engine, query)
+            timed, scaled_ms = raw_fastest[key] * 1000, costs[key] * 1000
             note = "  <- known inversion" if (dataset, engine, query) == KNOWN_INVERSION else ""
             flag = "  (full slower)" if full > base * 1.05 and not note else ""
             say(f"  {dataset:8} {query:5} {engine:8} {full:9.2f} {base:9.2f} "
-                f"{full / base:9.3f} {timed:13.2f}{note}{flag}")
+                f"{full / base:9.3f} {timed:13.2f} {scaled_ms:9.2f}{note}{flag}")
+    rss = max([resource.getrusage(resource.RUSAGE_SELF).ru_maxrss] + [p["rss_kb"] for p in parts])
     return {
         "problems": problems,
         "attempted": attempted,
         "failed": 0,
         "end_to_end": {
             "setup_s": median(setups),
-            "pass_s": sum(fastest),
+            "pass_s": sum(costs.values()),
             "read_p50_ms": reads["p50_ms"],
-            "peak_rss_mb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024,
+            "peak_rss_mb": rss / 1024,
         },
-        "outside": {"core.base_pass_s": base_pass, "client.failed_share": 0.0},
+        "outside": {
+            "core.base_pass_s": base_pass,
+            "client.failed_share": 0.0,
+            "host.raw_pass_s": raw_pass,
+            "host.yardstick_ms": median(ticks) * 1000,
+        },
+    }
+
+
+def query_cost(scaled: List[List[float]]) -> float:
+    """The lower quartile of a query's scaled times, one list per process,
+    without each process's first (planning) pass."""
+    return percentile([cost for times in scaled for cost in times[1:]], 25)
+
+
+def part_key(dataset: str, engine: str, query: str) -> str:
+    return f"{dataset}/{engine}/{query}"
+
+
+def spawn_part(seed: str, seconds: float) -> dict:
+    """Run ``timed_part`` in a fresh process; return what it reports."""
+    argv = [sys.executable, str(CHILD), "part", "paper-uo", "--part-seed", seed,
+            "--seconds", str(seconds)]
+    done = subprocess.run(argv, stdout=subprocess.PIPE, text=True, timeout=seconds + 60)
+    if done.returncode != 0:
+        raise RuntimeError(f"timed part {seed} exited with code {done.returncode}")
+    return json.loads(done.stdout.splitlines()[-1])
+
+
+def timed_part(seed: str, seconds: float) -> dict:
+    """One process's share of the timed phase.
+
+    A process's memory layout moves its speed by several per cent, so
+    the timed phase is split over fresh processes.  Each opens the
+    ``full`` engines and runs full passes in a seeded order until time is
+    up, every query once per pass, each between two yardstick ticks.  The
+    first pass plans the queries; ``query_cost`` leaves it out.
+    """
+    texts = query_texts()
+    expected = json.loads(EXPECTED_FILE.read_text())
+    engines = open_engines(("full",))
+    order = [(d, e, q) for (d, q) in texts for e in ENGINES]
+    problems: List[str] = []
+    raw: Dict[str, List[float]] = {part_key(*key): [] for key in order}
+    scaled: Dict[str, List[float]] = {part_key(*key): [] for key in order}
+    passes: List[float] = []
+    yardstick = Yardstick()
+    yardstick.tick()
+    rng = random.Random(seed)
+    deadline = time.perf_counter() + seconds
+    while len(passes) < 4 or time.perf_counter() < deadline:
+        rng.shuffle(order)
+        pass_start = time.perf_counter()
+        for dataset, engine, query in order:
+            uo, text = engines[(dataset, engine, "full")], texts[(dataset, query)]
+            result, took, cost = yardstick.measure(lambda: uo.execute(text))
+            raw[part_key(dataset, engine, query)].append(took)
+            scaled[part_key(dataset, engine, query)].append(cost)
+            if len(result) != expected[dataset][query]:
+                problems.append(f"{dataset} {query} {engine}/full: {len(result)} rows in pass")
+        passes.append(time.perf_counter() - pass_start)
+    return {
+        "problems": problems,
+        "attempted": len(passes) * len(order),
+        "raw": raw,
+        "scaled": scaled,
+        "passes": passes,
+        "yardstick": yardstick.times,
+        "rss_kb": resource.getrusage(resource.RUSAGE_SELF).ru_maxrss,
     }
 
 

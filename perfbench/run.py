@@ -14,22 +14,36 @@ user sees:
 - ``setup_s``      open the snapshots and build the engines (paper-uo), or
                    spawn ``repro serve`` to a healthy ``/healthz``; the
                    median of three or more;
-- ``pass_s``       one fixed unit of work at each operation's fastest time
-                   (see below): a ``full`` pass over 24 queries x 2 engines
-                   (paper-uo), acking the 100 seeded updates (write-mix);
+- ``pass_s``       one fixed unit of work: a ``full`` pass over 24 queries
+                   x 2 engines (paper-uo), acking the 100 seeded updates
+                   (write-mix);
 - ``read_p50_ms``  median SELECT latency: paper queries under ``full``, or
                    the crawl reads beside the writes;
 - ``peak_rss_mb``  the engine process, or the server parent plus workers.
 
-On a shared cloud VM the CPU's speed swings by 30-50% within seconds (on
+On a shared cloud VM the host's speed swings by 30-50% within seconds (on
 a 2-vCPU Firecracker VM a fixed CPU loop alternates between two speeds,
-in process time as much as in wall time, and 30 s runs drift by 20%),
-so every run repeats the same work many times and reports each piece of
-work at its fastest: each query's or update's fastest time over the run
-(write-mix reads, which race the writes, report the best cycle).  The human-readable lines also give medians, and the tail
-percentile with its sample count.  Recovery after ``kill -9`` on
-write-mix is a per-layer value (``server.recovery_s``): one restart per
-cycle is too few to gate on such a VM.
+in process time as much as in wall time) and drifts by 20-40% over
+minutes, so a whole run can sit in a slow spell.  Every run therefore
+repeats the same work many times:
+
+- paper-uo is pure CPU in one process.  Each set-up and each query runs
+  between two ticks of a fixed yardstick (``common.Yardstick``) and is
+  scaled to the yardstick's fixed speed, which cancels the host's speed
+  at that moment; the timed passes are split over four fresh processes,
+  since a process's memory layout moves its speed too.  A query's cost
+  is the lower quartile of its scaled times over the processes' warm
+  passes; ``pass_s`` is the sum of the costs and ``read_p50_ms`` their
+  median.  The per-layer values ``host.raw_pass_s`` (unscaled) and
+  ``host.yardstick_ms`` show the host's side.
+- write-mix spreads its work over a server's processes and its disk, where
+  a yardstick in the client does not follow the host, so it reports
+  medians over its cycles: of the time to ack the cycle's updates, and of
+  the cycle's read p50.  Recovery after ``kill -9`` runs once per run, after
+  the last cycle, and is a per-layer value (``server.recovery_s``).
+
+The human-readable lines also give the per-cycle or per-process values,
+and the tail percentiles with their sample counts.
 
 With ``--trace 1`` the workload runs untraced as above (for the server
 layer, read from ``/metrics`` and client timing), then a fixed, seeded

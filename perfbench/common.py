@@ -22,6 +22,7 @@ import sys
 import time
 import urllib.parse
 from pathlib import Path
+from statistics import median
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 #: Root of the checkout the benchmark runs in.
@@ -169,12 +170,12 @@ class Yardstick:
     given back as seconds at the fixed speed of ``YARDSTICK_S``.
     """
 
-    def __init__(self) -> None:
+    def __init__(self, rows: int = 10000) -> None:
         rng = random.Random(7)
-        self._rows = [(i, rng.randrange(20000)) for i in range(10000)]
+        self._rows = [(i, rng.randrange(2 * rows)) for i in range(rows)]
         self._index: Dict[int, List[int]] = {}
-        for k in range(40000):
-            self._index.setdefault(rng.randrange(20000), []).append(k)
+        for k in range(4 * rows):
+            self._index.setdefault(rng.randrange(2 * rows), []).append(k)
         self.times: List[float] = []
 
     def tick(self) -> float:
@@ -209,6 +210,64 @@ class Yardstick:
         took = time.perf_counter() - started
         after = self.tick()
         return value, took, took * 2.0 * YARDSTICK_S / (before + after)
+
+
+#: The echo yardstick's round trip on a quiet 2-vCPU host of 2.0 GHz
+#: Xeons; scaled timings read as seconds on a host this fast.
+ECHO_S = 0.004
+ECHO_SERVER = Path(__file__).resolve().parent / "echo.py"
+
+
+class EchoYardstick:
+    """A fixed HTTP round trip to a benchmark-owned server, the yardstick
+    of the server workloads.
+
+    A server's request time follows the host through process wake-ups and
+    loopback TCP as much as through CPU speed, which a yardstick ticking
+    in the client does not see.  ``echo.py`` answers each POST after a
+    small fixed ``Yardstick`` tick, over the same stdlib HTTP stack and a
+    fresh connection per request, as the program's server is reached; it
+    is the benchmark's own code, so no change to the program moves it.
+    Dividing a timing by the round trips around it cancels the host's
+    speed; ``ECHO_S`` gives it back in seconds.
+    """
+
+    def __init__(self, pid_log: Path) -> None:
+        self.proc = subprocess.Popen(
+            [sys.executable, str(ECHO_SERVER)],
+            stdout=subprocess.PIPE,
+            stdin=subprocess.DEVNULL,
+            cwd=str(ROOT),
+            text=True,
+            start_new_session=True,
+        )
+        with open(pid_log, "a") as handle:
+            handle.write(f"{self.proc.pid}\n")
+        self.port = int(self.proc.stdout.readline())  # type: ignore[union-attr]
+        self.times: List[float] = []
+
+    def ping(self) -> float:
+        """One round trip; return (and keep) its time."""
+        started = time.perf_counter()
+        conn = http.client.HTTPConnection("127.0.0.1", self.port, timeout=CLIENT_TIMEOUT_S)
+        try:
+            conn.request("POST", "/", body=b"ping")
+            response = conn.getresponse()
+            response.read()
+        finally:
+            conn.close()
+        if response.status != 200:
+            raise RuntimeError(f"echo yardstick answered HTTP {response.status}")
+        took = time.perf_counter() - started
+        self.times.append(took)
+        return took
+
+    def scale(self, pings: Sequence[float]) -> float:
+        """Factor from timings beside ``pings`` to seconds at ``ECHO_S``."""
+        return ECHO_S / median(pings)
+
+    def kill(self) -> None:
+        kill_group(self.proc.pid, reap=self.proc)
 
 
 # ----------------------------------------------------------------------

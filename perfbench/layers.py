@@ -90,8 +90,9 @@ CATALOGUE: List[Tuple[str, str, str, str]] = [
     ("client.failed_share", "ratio", "lower", "every read and write metric on every workload"),
     ("trace.overhead_share", "ratio", "lower", "nothing: what tracing adds to the same requests"),
     # the host
-    ("host.raw_pass_s", "s", "lower", "pass_s on paper-uo: each query's fastest time, unscaled"),
-    ("host.yardstick_ms", "ms", "lower", "nothing: the host speed that scales pass_s and read_p50_ms on paper-uo"),
+    ("host.raw_pass_s", "s", "lower", "pass_s unscaled: each query's fastest time summed (paper-uo), the median cycle (write-mix)"),
+    ("host.yardstick_ms", "ms", "lower", "nothing: the host speed that scales the timings of paper-uo"),
+    ("host.echo_ms", "ms", "lower", "nothing: the host speed that scales the timings of write-mix"),
 ]
 
 #: Physical-path counters summed from ``QueryResult.exec_counters``.

@@ -34,13 +34,18 @@ repeats the same work many times:
   since a process's memory layout moves its speed too.  A query's cost
   is the lower quartile of its scaled times over the processes' warm
   passes; ``pass_s`` is the sum of the costs and ``read_p50_ms`` their
-  median.  The per-layer values ``host.raw_pass_s`` (unscaled) and
-  ``host.yardstick_ms`` show the host's side.
-- write-mix spreads its work over a server's processes and its disk, where
-  a yardstick in the client does not follow the host, so it reports
-  medians over its cycles: of the time to ack the cycle's updates, and of
-  the cycle's read p50.  Recovery after ``kill -9`` runs once per run, after
-  the last cycle, and is a per-layer value (``server.recovery_s``).
+  median.  ``host.raw_pass_s`` (unscaled) and ``host.yardstick_ms`` show
+  the host's side.
+- write-mix spreads its work over a server's processes, where a CPU
+  yardstick in the client does not follow the host but a fixed HTTP round
+  trip to a benchmark-owned server does (``common.EchoYardstick``).  The
+  writer pings it before its first update and after each one, each spawn
+  is timed between pings, and each cycle's time to ack its updates, its
+  read p50 and each set-up are scaled by the pings beside them.  The
+  metrics are medians over the cycles.  Recovery after ``kill -9`` runs
+  once per run, after the last cycle, and is a per-layer value
+  (``server.recovery_s``).  ``host.raw_pass_s`` and ``host.echo_ms`` show
+  the host's side.
 
 The human-readable lines also give the per-cycle or per-process values,
 and the tail percentiles with their sample counts.

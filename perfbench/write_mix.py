@@ -32,6 +32,7 @@ from typing import Dict, List, Tuple
 from common import (
     PAGE,
     UB,
+    EchoYardstick,
     Server,
     crawl_query,
     entities,
@@ -116,15 +117,20 @@ def run(seed: int, seconds: float, say, run_dir: Path) -> dict:
     recovery of the last cycle's server.
 
     Every cycle sends the same updates; a cycle's time is the sum of its
-    acks.  On a shared VM the host's speed swings within seconds (see
-    run.py), and an update's fastest ack over a handful of cycles swings
-    with it, so the metrics are medians over the cycles: of the cycle
-    times, and of each cycle's read p50.
+    acks.  On a shared VM the host's speed swings within seconds and
+    drifts over minutes (see run.py), so the writer pings the echo
+    yardstick (``common.EchoYardstick``) before its first update and after
+    each one, each spawn is timed between pings too, and each timing is
+    scaled by the median of the pings beside it.  The metrics are medians
+    over the cycles: of the scaled cycle times and of each cycle's scaled
+    read p50.
     """
     touched, updates, final = plan(seed)
     net = sum(u.added - u.removed for u in updates)
     problems: List[str] = []
     setups: List[float] = []
+    raw_cycles: List[float] = []
+    cycles: List[float] = []
     recoveries: List[float] = []
     read_p50: List[float] = []
     acks: List[List[float]] = []
@@ -133,106 +139,127 @@ def run(seed: int, seconds: float, say, run_dir: Path) -> dict:
     attempted = failed = reads = 0
     cycle_dir = run_dir / "write-mix"
 
-    # One extra spawn so set-up time is a median of at least three.
-    spare = Server(snapshot_file("lubm"), run_dir / "servers.pids")
-    setups.append(spare.start())
-    spare.kill()
+    echo = EchoYardstick(run_dir / "servers.pids")
+    try:
+        for _ in range(5):
+            echo.ping()
 
-    deadline = time.perf_counter() + seconds
-    while not recoveries:
-        fresh_dir(cycle_dir)
-        snapshot = cycle_dir / "data.snap"
-        shutil.copyfile(snapshot_file("lubm"), snapshot)
-        server = Server(snapshot, run_dir / "servers.pids", wal=cycle_dir / "data.wal")
-        setups.append(server.start())
-        base = server.triple_count()
-        before = server.metrics()
+        def spawn(server: Server) -> None:
+            """Start ``server``; keep its set-up time, scaled by the pings around it."""
+            pings = [echo.ping() for _ in range(3)]
+            took = server.start()
+            pings += [echo.ping() for _ in range(3)]
+            setups.append(took * echo.scale(pings))
 
-        done = threading.Event()
-        reader_rng = random.Random(seed * 1000 + len(acks))
-        cycle_reads: List[float] = []
-        read_failed = [0]
-        cycle_acks: List[float] = []
+        # One extra spawn so set-up time is a median of at least three.
+        spare = Server(snapshot_file("lubm"), run_dir / "servers.pids")
+        spawn(spare)
+        spare.kill()
 
-        def reader() -> None:
-            while not done.is_set():
-                entity = reader_rng.choice(touched)
-                page = 0
+        deadline = time.perf_counter() + seconds
+        while not recoveries:
+            fresh_dir(cycle_dir)
+            snapshot = cycle_dir / "data.snap"
+            shutil.copyfile(snapshot_file("lubm"), snapshot)
+            server = Server(snapshot, run_dir / "servers.pids", wal=cycle_dir / "data.wal")
+            spawn(server)
+            base = server.triple_count()
+            before = server.metrics()
+
+            done = threading.Event()
+            reader_rng = random.Random(seed * 1000 + len(acks))
+            cycle_reads: List[float] = []
+            read_failed = [0]
+            cycle_acks: List[float] = []
+
+            def reader() -> None:
                 while not done.is_set():
-                    started = time.perf_counter()
-                    try:
-                        status, body = server.select(crawl_query(entity, page))
-                    except OSError:
-                        status, body = 0, b""
-                    elapsed = time.perf_counter() - started
-                    if status != 200:
-                        read_failed[0] += 1
-                        break
-                    cycle_reads.append(elapsed)
-                    if len(json.loads(body)["results"]["bindings"]) < PAGE:
-                        break
-                    page += 1
+                    entity = reader_rng.choice(touched)
+                    page = 0
+                    while not done.is_set():
+                        started = time.perf_counter()
+                        try:
+                            status, body = server.select(crawl_query(entity, page))
+                        except OSError:
+                            status, body = 0, b""
+                        elapsed = time.perf_counter() - started
+                        if status != 200:
+                            read_failed[0] += 1
+                            break
+                        cycle_reads.append(elapsed)
+                        if len(json.loads(body)["results"]["bindings"]) < PAGE:
+                            break
+                        page += 1
 
-        thread = threading.Thread(target=reader)
-        thread.start()
-        for update in updates:
-            started = time.perf_counter()
-            try:
-                status, body = server.update(update.text)
-            except OSError:
-                status, body = 0, b""
-            cycle_acks.append(time.perf_counter() - started)
-            if status != 200:
-                failed += 1
-                problems.append(f"update refused with HTTP {status}")
+            thread = threading.Thread(target=reader)
+            thread.start()
+            pings = [echo.ping()]
+            for update in updates:
+                started = time.perf_counter()
+                try:
+                    status, body = server.update(update.text)
+                except OSError:
+                    status, body = 0, b""
+                cycle_acks.append(time.perf_counter() - started)
+                pings.append(echo.ping())
+                if status != 200:
+                    failed += 1
+                    problems.append(f"update refused with HTTP {status}")
+                    continue
+                ack = json.loads(body)
+                if (ack["added"], ack["removed"]) != (update.added, update.removed):
+                    problems.append(
+                        f"update changed +{ack['added']} -{ack['removed']}, "
+                        f"expected +{update.added} -{update.removed}"
+                    )
+            done.set()
+            thread.join()
+            acks.append(cycle_acks)
+            scale = echo.scale(pings)
+            raw_cycles.append(sum(cycle_acks))
+            cycles.append(sum(cycle_acks) * scale)
+            read_p50.append(latency_summary(cycle_reads, TAIL, read_failed[0])["p50_ms"] * scale)
+            reads += len(cycle_reads) + read_failed[0]
+            failed += read_failed[0]
+            after = server.metrics()
+            if server.triple_count() != base + net:
+                problems.append("triple count after the writes differs from the acked batches")
+            rss.append(server.peak_rss_mb())
+            for name in SERVER_SERIES:
+                totals[name] += after.get(name, 0.0) - before.get(name, 0.0)
+            attempted += len(updates)
+
+            server.kill()
+            if len(acks) < 2 or time.perf_counter() < deadline:
                 continue
-            ack = json.loads(body)
-            if (ack["added"], ack["removed"]) != (update.added, update.removed):
-                problems.append(
-                    f"update changed +{ack['added']} -{ack['removed']}, "
-                    f"expected +{update.added} -{update.removed}"
-                )
-        done.set()
-        thread.join()
-        acks.append(cycle_acks)
-        read_p50.append(latency_summary(cycle_reads, TAIL, read_failed[0])["p50_ms"])
-        reads += len(cycle_reads) + read_failed[0]
-        failed += read_failed[0]
-        after = server.metrics()
-        if server.triple_count() != base + net:
-            problems.append("triple count after the writes differs from the acked batches")
-        rss.append(server.peak_rss_mb())
-        for name in SERVER_SERIES:
-            totals[name] += after.get(name, 0.0) - before.get(name, 0.0)
-        attempted += len(updates)
-
-        server.kill()
-        if len(acks) < 2 or time.perf_counter() < deadline:
-            continue
-        started = time.perf_counter()
-        server.start()
-        recovered = server.triple_count()
-        recoveries.append(time.perf_counter() - started)
-        if recovered != base + net:
-            problems.append("triple count after recovery differs from the acked batches")
-        for entity in touched[:5]:
-            if _phones(server, entity) != final[entity]:
-                problems.append(f"acked writes to {entity} not readable after recovery")
-        server.kill()
+            started = time.perf_counter()
+            server.start()
+            recovered = server.triple_count()
+            recoveries.append(time.perf_counter() - started)
+            if recovered != base + net:
+                problems.append("triple count after recovery differs from the acked batches")
+            for entity in touched[:5]:
+                if _phones(server, entity) != final[entity]:
+                    problems.append(f"acked writes to {entity} not readable after recovery")
+            server.kill()
+    finally:
+        echo.kill()
     shutil.rmtree(cycle_dir, ignore_errors=True)
 
-    cycles = [sum(cycle_acks) for cycle_acks in acks]
     writes = latency_summary([ack for cycle_acks in acks for ack in cycle_acks], 90)
     attempted += reads
     hits, misses = totals["repro_cache_hits_total"], totals["repro_cache_misses_total"]
     executed = totals['repro_query_seconds_count{cache="miss"}']
     updates_total = totals["repro_updates_total"]
     say(f"write-mix: {len(acks)} cycles of {UPDATES} updates (net +{net} triples each), "
-        f"{reads} reads beside them; cycle times {' '.join(f'{c:.2f}' for c in cycles)} s, "
-        f"median {median(cycles):.2f} s; ack p50 {writes['p50_ms']:.1f} ms, "
-        f"p90 {writes['tail_ms']:.1f} ms (n={writes['n']}); read p50 per cycle "
+        f"{reads} reads beside them; unscaled cycle times "
+        f"{' '.join(f'{c:.2f}' for c in raw_cycles)} s; ack p50 {writes['p50_ms']:.1f} ms, "
+        f"p90 {writes['tail_ms']:.1f} ms (n={writes['n']}); recovery {recoveries[0]:.2f} s; "
+        f"echo median {median(echo.times) * 1000:.2f} ms (n={len(echo.times)})")
+    say(f"scaled to the echo yardstick: cycle times {' '.join(f'{c:.2f}' for c in cycles)} s, "
+        f"median {median(cycles):.2f} s; read p50 per cycle "
         f"{' '.join(f'{r:.1f}' for r in read_p50)} ms, median {median(read_p50):.1f} ms; "
-        f"recovery {recoveries[0]:.2f} s")
+        f"set-ups {' '.join(f'{t:.3f}' for t in sorted(setups))} s")
     return {
         "problems": problems,
         "attempted": attempted,
@@ -246,7 +273,7 @@ def run(seed: int, seconds: float, say, run_dir: Path) -> dict:
         "outside": {
             "server.update.p50_ms": writes["p50_ms"],
             "server.update.p90_ms": writes["tail_ms"],
-            "server.ingest_triples_per_s": net / median(cycles),
+            "server.ingest_triples_per_s": net / median(raw_cycles),
             "server.recovery_s": recoveries[0],
             "server.wal.fsync_per_update": (
                 totals["repro_wal_fsync_seconds_count"] / updates_total if updates_total else 0.0
@@ -261,6 +288,8 @@ def run(seed: int, seconds: float, say, run_dir: Path) -> dict:
             "server.timeouts": totals["repro_timeouts_total"],
             "server.worker_restarts": totals["repro_worker_restarts_total"],
             "client.failed_share": failed / attempted,
+            "host.raw_pass_s": median(raw_cycles),
+            "host.echo_ms": median(echo.times) * 1000,
         },
     }
 

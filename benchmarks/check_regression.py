@@ -31,6 +31,11 @@ order of preference, the most machine-independent observable available:
                 starting to decode) even if wall time on the CI host
                 looks fine.  A ``terms_decoded`` baseline of 0 is the
                 zero-decode gate: *any* fresh decode fails.
+``merge_joins`` / ``hash_joins``
+                the physical plan shape — exact: fails when fresh
+                ``merge_joins < baseline`` or fresh
+                ``hash_joins > baseline``, i.e. when a merge step fell
+                back to a hash join, however fast the host ran it.
 ``rows_kernel_filtered``
                 floor-checked (``fresh < baseline / counter_tolerance``
                 fails): this counter measures rows screened by the
@@ -116,6 +121,8 @@ def merge_baselines(records: List[Dict]) -> Dict[Key, Dict]:
             ("terms_decoded", min),
             ("rows_kernel_filtered", max),
             ("overhead_pct", min),
+            ("merge_joins", max),
+            ("hash_joins", min),
         ):
             if field in record:
                 value = record[field]
@@ -185,6 +192,24 @@ def check(
                         f"tolerance {counter_tolerance:g} — an execution "
                         f"path degraded)"
                     )
+        if "merge_joins" in record and "merge_joins" in base:
+            compared += 1
+            checked_any = True
+            if record["merge_joins"] < base["merge_joins"]:
+                failures.append(
+                    f"{label}: merge_joins {record['merge_joins']} below "
+                    f"baseline {base['merge_joins']} (a merge step fell back "
+                    f"to a hash join)"
+                )
+        if "hash_joins" in record and "hash_joins" in base:
+            compared += 1
+            checked_any = True
+            if record["hash_joins"] > base["hash_joins"]:
+                failures.append(
+                    f"{label}: hash_joins {record['hash_joins']} above "
+                    f"baseline {base['hash_joins']} (a merge step fell back "
+                    f"to a hash join)"
+                )
         if "rows_kernel_filtered" in record and "rows_kernel_filtered" in base:
             compared += 1
             checked_any = True

@@ -30,7 +30,6 @@ from typing import (
     Sequence,
     Set,
     Tuple,
-    Union,
 )
 
 from ..obs import trace as _trace
@@ -118,13 +117,13 @@ def decode_bag(
         tracer.end(distinct_ids=len(distinct))
     return decoded
 
-#: Candidate restriction: variable name → permitted term ids, either a
-#: plain ``set`` (legacy) or a :class:`~repro.storage.runs.SortedIdSet`
-#: (sorted array with bisect membership and galloping intersection —
-#: what :class:`~repro.core.candidates.CandidatePolicy` produces).
-#: Engines rely only on ``in`` / ``len`` / ascending-or-arbitrary
-#: iteration, and opportunistically fast-path the sorted form.
-Candidates = Dict[str, Union["SortedIdSet", Set[int]]]
+#: Candidate restriction: variable name → permitted term ids as a
+#: :class:`~repro.storage.runs.SortedIdSet` (sorted array with bisect
+#: membership and galloping intersection — what
+#: :class:`~repro.core.candidates.CandidatePolicy` produces).  Engines
+#: intersect it with sorted runs and drive scans from it in ascending
+#: id order.
+Candidates = Dict[str, SortedIdSet]
 
 
 class PlanEstimate:
@@ -211,7 +210,7 @@ class BGPEngine:
         for var in variables:
             values = bag.distinct_values(var)
             if values:
-                out[var] = values
+                out[var] = SortedIdSet.from_ids(values)
         return out
 
     def _pattern_variables(self, patterns: Sequence[TriplePattern]) -> Set[str]:

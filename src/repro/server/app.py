@@ -124,6 +124,10 @@ class _Handler(BaseHTTPRequestHandler):
     """One request; ``self.server`` is the :class:`_HTTPServer` below."""
 
     protocol_version = "HTTP/1.1"
+    #: ``_respond`` writes headers and body in separate sends; with
+    #: Nagle on, a keep-alive client's delayed ACK holds the body back
+    #: ~40 ms per response.
+    disable_nagle_algorithm = True
     server_version = "repro-sparql"
 
     # ------------------------------------------------------------------

@@ -1,16 +1,12 @@
 """Sorted delta runs with tombstones over frozen permutations.
 
-The frozen store (:class:`~repro.storage.indexes.FrozenTripleIndexes`)
-is what makes the sorted-run execution layer work: merge joins,
-galloping candidate pruning and leapfrog extension all assume sorted,
-immutable permutation arrays.  Historically the first write *thawed*
-the whole store back into hash-map indexes, discarding that layout —
-the served system was effectively read-only.
-
-This module is the LSM-style alternative: writes land in a small
+Every store's triples live in sorted, immutable permutation arrays
+(:class:`~repro.storage.indexes.FrozenTripleIndexes`); merge joins,
+galloping candidate pruning and leapfrog extension all read them.
+Writes therefore never edit the arrays.  They land in a small
 in-memory delta — an **add set** and a **tombstone set** — which is
-*sealed* into its own tiny frozen permutations after every batch.  Read
-paths then merge base and delta at scan time:
+*sealed* into its own tiny frozen permutations after every batch.
+This is the LSM shape: read paths merge base and delta at scan time:
 
 - a pair-range run (``object_run`` / ``subject_run`` / …) first probes
   the sealed delta permutations; when the delta holds nothing for that
@@ -23,11 +19,9 @@ paths then merge base and delta at scan time:
   delta maintains three invariants: ``adds ∩ base = ∅``,
   ``dels ⊆ base`` and ``adds ∩ dels = ∅``.
 
-:class:`DeltaOverlayIndexes` *subclasses* :class:`FrozenTripleIndexes`
-deliberately: the engines gate their sorted-run fast paths on
-``isinstance(indexes, FrozenTripleIndexes)``, so an overlaid store
-keeps taking merge/gallop paths with pending writes — no thaw, which
-is the point.  Compaction is simply ``permutation_arrays()`` /
+:class:`DeltaOverlayIndexes` subclasses :class:`FrozenTripleIndexes`
+and keeps every range sorted, so the engines read an overlaid store
+exactly like a plain one.  Compaction is ``permutation_arrays()`` /
 ``all_triples()`` over the merged view feeding the ordinary snapshot
 writer.
 """
@@ -115,9 +109,9 @@ class DeltaOverlayIndexes(FrozenTripleIndexes):
     over the logical triple set ``(base − dels) ∪ adds``.  Ranges the
     delta does not touch are answered by the base's own zero-copy runs;
     touched ranges materialize a merged ascending array once per write
-    generation.  ``insert()`` still raises — writes go through
-    :meth:`delta_insert` / :meth:`delta_delete`, which maintain the
-    disjointness invariants the count arithmetic relies on.
+    generation.  Writes go through :meth:`delta_insert` /
+    :meth:`delta_delete`, which maintain the disjointness invariants
+    the count arithmetic relies on.
     """
 
     __slots__ = ("_base", "_delta", "_merged_cache", "_cache_version")
@@ -266,7 +260,7 @@ class DeltaOverlayIndexes(FrozenTripleIndexes):
         return None
 
     # ------------------------------------------------------------------
-    # the TripleIndexes read interface, delta-merged
+    # the read interface, delta-merged
     # ------------------------------------------------------------------
     def __len__(self) -> int:
         delta = self._delta

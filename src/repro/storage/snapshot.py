@@ -582,7 +582,7 @@ class SnapshotReader:
         """The persisted sorted permutations as ready-to-serve indexes.
 
         Returns None when the snapshot carries no permutation sections
-        (64-bit ids); callers then rebuild classic indexes from the
+        (64-bit ids); callers then sort the permutations from the
         triple columns.  Decoding is three ``frombytes`` calls — no
         per-row work.
         """

@@ -4,13 +4,18 @@ Combines the term dictionary, the permutation indexes and the statistics
 catalog.  Both BGP engines, the optimizer's cost model and the LBR
 baseline operate exclusively through this class.
 
-A store can start *cold* (built triple by triple from a
-:class:`~repro.rdf.dataset.Dataset`) or *hot* from a persistent binary
-snapshot (:meth:`save` / :meth:`load`): loading maps the file, keeps
-the dictionary lazy (terms decode on first touch, constants resolve by
-binary search over the snapshot's sorted term section) and defers the
-permutation-index build to the first index access, so startup cost is
-proportional to what a query actually touches.
+Every store has one representation: sorted, frozen SPO/POS/OSP
+permutations (:class:`~repro.storage.indexes.FrozenTripleIndexes`)
+plus, once written to, a delta overlay of pending adds and tombstones
+(:class:`~repro.storage.delta.DeltaOverlayIndexes`).  A store starts
+*cold* — encoded from triples, a :class:`~repro.rdf.dataset.Dataset`
+or bulk-loaded N-Triples, then sorted once into the permutations — or
+*hot* from a persistent binary snapshot (:meth:`save` / :meth:`load`):
+loading maps the file, keeps the dictionary lazy (terms decode on
+first touch, constants resolve by binary search over the snapshot's
+sorted term section) and defers reading the permutations to the first
+index access, so startup cost is proportional to what a query
+actually touches.
 """
 
 from __future__ import annotations
@@ -18,7 +23,7 @@ from __future__ import annotations
 import threading
 from array import array
 from contextlib import contextmanager
-from typing import Callable, Iterable, Iterator, Optional, Tuple, Union
+from typing import Callable, Iterable, Iterator, Optional, Sequence, Set, Tuple, Union
 
 from .. import faults as _faults
 from ..rdf.dataset import Dataset
@@ -26,7 +31,7 @@ from ..rdf.dictionary import EncodedTriple, TermDictionary
 from ..rdf.terms import GroundTerm, Variable
 from ..rdf.triple import Triple, TriplePattern
 from .delta import DeltaOverlayIndexes
-from .indexes import FrozenTripleIndexes, TripleIndexes
+from .indexes import FrozenTripleIndexes
 from .snapshot import LazyTermDictionary, SnapshotReader, write_snapshot
 from .stats import StoreStatistics
 
@@ -46,11 +51,13 @@ class TripleStore:
 
     def __init__(self):
         self._dictionary: TermDictionary = TermDictionary()
-        self._indexes: Optional[AnyIndexes] = TripleIndexes()
+        self._indexes: Optional[FrozenTripleIndexes] = FrozenTripleIndexes.from_columns(
+            (), (), ()
+        )
         #: Deferred index supplier while ``_indexes`` is None.
-        self._indexes_loader: Optional[Callable[[], "AnyIndexes"]] = None
+        self._indexes_loader: Optional[Callable[[], FrozenTripleIndexes]] = None
         #: Raw (s, p, o) column supplier, valid while the store has not
-        #: been written to; lets :meth:`save` skip the index build.
+        #: been written to; :meth:`save` persists these columns as-is.
         self._columns_source: Optional[Callable[[], Tuple]] = None
         self._triple_count = 0
         self._stats: Optional[StoreStatistics] = None
@@ -64,7 +71,7 @@ class TripleStore:
         #: is skipped while a single-threaded recovery replays many
         #: update batches back to back.
         self._seal_eagerly = True
-        #: Serializes the index state *transitions* (lazy build, thaw):
+        #: Serializes the index state *transitions* (lazy build, overlay):
         #: each transition builds the replacement structure fully and
         #: only then publishes it with a single attribute store, so
         #: concurrent readers always observe either the old complete
@@ -79,7 +86,7 @@ class TripleStore:
         return self._dictionary
 
     @property
-    def indexes(self) -> "AnyIndexes":
+    def indexes(self) -> FrozenTripleIndexes:
         indexes = self._indexes
         if indexes is None:
             with self._index_lock:
@@ -94,28 +101,23 @@ class TripleStore:
                     self._indexes_loader = None
         return indexes
 
-    def _writable_indexes(self) -> "AnyIndexes":
-        """The indexes in their writable form — **without thawing**.
+    def _writable_indexes(self) -> DeltaOverlayIndexes:
+        """The indexes wrapped in their :class:`DeltaOverlayIndexes`.
 
-        A frozen store is wrapped in a :class:`DeltaOverlayIndexes`
-        (sorted delta runs + tombstones over the untouched base
-        permutations), so the sorted-run execution layer — merge joins,
-        galloping pruning, leapfrog spans — keeps working with pending
-        writes.  The transition is atomic with respect to concurrent
-        readers: the overlay is built fully before the single
-        publishing store to ``self._indexes``, so a reader mid-query
-        keeps the frozen index it already grabbed (the overlay shares
-        its arrays) or picks up the complete overlay — never a partial
-        structure.
+        The first write layers sorted delta runs + tombstones over the
+        untouched base permutations, so merge joins, galloping pruning
+        and leapfrog spans keep working with pending writes.  The
+        transition is atomic with respect to concurrent readers: the
+        overlay is built fully before the single publishing store to
+        ``self._indexes``, so a reader mid-query keeps the frozen index
+        it already grabbed (the overlay shares its arrays) or picks up
+        the complete overlay — never a partial structure.
         """
         with self._index_lock:
             indexes = self.indexes
-            if isinstance(indexes, DeltaOverlayIndexes):
-                return indexes
-            if isinstance(indexes, FrozenTripleIndexes):
-                overlay = DeltaOverlayIndexes(indexes)  # build fully …
-                self._indexes = overlay  # … then publish
-                return overlay
+            if not isinstance(indexes, DeltaOverlayIndexes):
+                indexes = DeltaOverlayIndexes(indexes)  # build fully …
+                self._indexes = indexes  # … then publish
             return indexes
 
     # ------------------------------------------------------------------
@@ -123,14 +125,45 @@ class TripleStore:
     # ------------------------------------------------------------------
     @classmethod
     def from_dataset(cls, dataset: Dataset) -> "TripleStore":
-        store = cls()
-        store.add_all(dataset)
-        return store
+        return cls.from_triples(dataset)
 
     @classmethod
     def from_triples(cls, triples: Iterable[Triple]) -> "TripleStore":
+        """Encode ``triples`` and sort them into frozen permutations.
+
+        Terms get ids in first-encounter order and duplicate triples
+        are dropped, so the dictionary, the permutations and the saved
+        snapshot match what inserting the triples one batch at a time
+        would produce.
+        """
+        dictionary = TermDictionary()
+        encode = dictionary.encode_triple
+        seen: Set[EncodedTriple] = set()
+        columns = (array("Q"), array("Q"), array("Q"))
+        s_col, p_col, o_col = (column.append for column in columns)
+        for triple in triples:
+            encoded = encode(triple)
+            if encoded not in seen:
+                seen.add(encoded)
+                s, p, o = encoded
+                s_col(s)
+                p_col(p)
+                o_col(o)
+        return cls._from_columns(dictionary, columns)
+
+    @classmethod
+    def _from_columns(
+        cls, dictionary: TermDictionary, columns: Tuple[Sequence[int], ...]
+    ) -> "TripleStore":
+        """A never-written store over deduplicated id columns whose
+        permutations are sorted on first index access."""
         store = cls()
-        store.add_all(triples)
+        store._dictionary = dictionary
+        store._indexes = None
+        store._indexes_loader = lambda: FrozenTripleIndexes.from_columns(*columns)
+        store._columns_source = lambda: columns
+        store._triple_count = len(columns[0])
+        store._generation = 1 if store._triple_count else 0
         return store
 
     @classmethod
@@ -144,22 +177,7 @@ class TripleStore:
         from .bulkload import bulk_load_ntriples
 
         loader = bulk_load_ntriples(source)
-        store = cls()
-        store._dictionary = loader.dictionary
-        store._indexes = None
-        columns = loader.columns
-
-        def build_indexes() -> TripleIndexes:
-            return TripleIndexes.from_columns(*columns)
-
-        def raw_columns() -> Tuple:
-            return columns
-
-        store._indexes_loader = build_indexes
-        store._columns_source = raw_columns
-        store._triple_count = len(loader)
-        store._generation = 1 if len(loader) else 0
-        return store
+        return cls._from_columns(loader.dictionary, loader.columns)
 
     # ------------------------------------------------------------------
     # persistence
@@ -172,13 +190,13 @@ class TripleStore:
         later process) restores an equivalent store from it without
         re-parsing text.
         """
-        if self._indexes is None and self._columns_source is not None:
-            # Bulk-loaded or snapshot-backed and never written to: the
-            # raw columns exist already, no index build needed — stats,
+        indexes = self._indexes
+        if indexes is None and self._snapshot is not None:
+            indexes = self._snapshot.frozen_indexes()
+        if self._columns_source is not None:
+            # Never written to: the raw columns exist already — stats,
             # if absent, come from one columnar pass.
             columns = self._columns_source()
-            reader = self._snapshot
-            frozen = reader.frozen_indexes() if reader is not None else None
             if self._stats is None and self._stats_loader is None:
                 self._stats = StoreStatistics.from_columns(*columns)
         else:
@@ -190,14 +208,12 @@ class TripleStore:
                 p_col.append(p)
                 o_col.append(o)
             columns = (s_col, p_col, o_col)
-            frozen = indexes if isinstance(indexes, FrozenTripleIndexes) else None
         dictionary = self._dictionary
         if isinstance(dictionary, LazyTermDictionary):
             dictionary = dictionary.materialize()
-        # A frozen index already holds the three sorted permutations in
-        # serialized form; hand them through so re-saving a loaded or
-        # bulk-built store skips re-sorting.
-        permutations = frozen.permutation_arrays() if frozen is not None else None
+        # Sorted permutations already in memory (or in the mapped
+        # snapshot) are handed through so the write skips re-sorting.
+        permutations = indexes.permutation_arrays() if indexes is not None else None
         write_snapshot(
             path,
             dictionary,
@@ -240,10 +256,7 @@ class TripleStore:
             store._dictionary = LazyTermDictionary(reader)
             store._indexes = None
 
-            def load_indexes() -> "AnyIndexes":
-                return _indexes_from_reader(reader)
-
-            store._indexes_loader = load_indexes
+            store._indexes_loader = lambda: _indexes_from_reader(reader)
             store._columns_source = reader.columns
             store._stats_loader = reader.statistics
         else:
@@ -258,34 +271,6 @@ class TripleStore:
                 reader.close()
         return store
 
-    def freeze(self) -> "TripleStore":
-        """Re-index into the frozen sorted-permutation form, in place.
-
-        Loaded snapshots serve :class:`FrozenTripleIndexes` already;
-        this brings a cold-built store onto the same read-optimized
-        layout (sorted runs, merge joins, galloping pruning) without a
-        snapshot round trip — tests and benchmarks use it to put both
-        construction paths on the same footing.  Writes after freezing
-        thaw back to the mutable form as usual.
-
-        Freezing flips which execution paths (and therefore which cost
-        estimates) apply, so it bumps the generation like a write does:
-        generation-keyed caches (query plans, engine estimates) must
-        not serve numbers priced against the pre-freeze layout.
-        """
-        with self._index_lock:
-            indexes = self.indexes
-            if isinstance(indexes, FrozenTripleIndexes):
-                return self
-            triples = indexes.all_triples()
-            if triples:
-                s_col, p_col, o_col = zip(*triples)
-            else:
-                s_col, p_col, o_col = (), (), ()
-            self._indexes = FrozenTripleIndexes.from_columns(s_col, p_col, o_col)
-            self._generation += 1
-        return self
-
     def close(self) -> None:
         """Release the snapshot mapping of a lazily loaded store."""
         if self._snapshot is not None:
@@ -296,6 +281,7 @@ class TripleStore:
             if self._stats is None and self._stats_loader is not None:
                 self._stats = self._stats_loader()
             self._stats_loader = None
+            self._columns_source = None  # the reader's columns go with it
             self._snapshot.close()
             self._snapshot = None
 
@@ -343,10 +329,9 @@ class TripleStore:
         """Apply one write batch; returns ``(added, removed)``.
 
         Deletes apply before inserts (SPARQL 1.1 ``DELETE/INSERT``
-        order).  A frozen store routes the batch into its delta overlay
-        — the sorted permutations stay intact, reads keep taking merge
-        and gallop paths — while a classic mutable store edits its hash
-        indexes directly.  Generation and derived caches (statistics,
+        order).  The batch lands in the delta overlay — the sorted
+        permutations stay intact, reads keep taking merge and gallop
+        paths.  Generation and derived caches (statistics,
         raw snapshot columns) are invalidated **only when visibility
         actually changed**: a duplicate-only insert or a miss-only
         delete batch is a no-op and must not invalidate plan/result
@@ -357,10 +342,7 @@ class TripleStore:
         added = removed = 0
         with self._index_lock:
             indexes = self._writable_indexes()
-            if isinstance(indexes, DeltaOverlayIndexes):
-                delete, insert = indexes.delta_delete, indexes.delta_insert
-            else:
-                delete, insert = indexes.remove, indexes.insert
+            delete, insert = indexes.delta_delete, indexes.delta_insert
             for triple in deletes:
                 encoded = self._lookup_ground(triple)
                 if encoded is not None and delete(encoded):
@@ -370,7 +352,7 @@ class TripleStore:
                 if insert(encode(triple)):
                     added += 1
             if added or removed:
-                if isinstance(indexes, DeltaOverlayIndexes) and self._seal_eagerly:
+                if self._seal_eagerly:
                     # Seal once per batch so subsequent reads are pure
                     # (no lazy freeze racing a concurrent query thread).
                     indexes.delta.seal()
@@ -567,13 +549,9 @@ class TripleStore:
         return f"TripleStore({len(self)} triples, {len(self.dictionary)} terms)"
 
 
-#: Either index implementation satisfies the read interface the engines use.
-AnyIndexes = Union[TripleIndexes, FrozenTripleIndexes]
-
-
-def _indexes_from_reader(reader: SnapshotReader) -> AnyIndexes:
-    """Persisted permutations when present, else a classic rebuild."""
+def _indexes_from_reader(reader: SnapshotReader) -> FrozenTripleIndexes:
+    """Persisted permutations when present, else sorted from the columns."""
     frozen = reader.frozen_indexes()
     if frozen is not None:
         return frozen
-    return TripleIndexes.from_columns(*reader.columns())
+    return FrozenTripleIndexes.from_columns(*reader.columns())

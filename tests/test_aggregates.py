@@ -38,7 +38,7 @@ def store() -> TripleStore:
         triples.append(Triple(s, IRI(EX + "score"), _int(i)))
         if i % 2 == 0:
             triples.append(Triple(s, IRI(EX + "label"), Literal(f"n{i}")))
-    return TripleStore.from_dataset(Dataset(triples)).freeze()
+    return TripleStore.from_dataset(Dataset(triples))
 
 
 def _rows(result):
@@ -273,9 +273,13 @@ class TestEngineOptions:
         assert engine.mode.value == "base"
 
     def test_positional_args_deprecated(self, store):
-        with pytest.warns(DeprecationWarning):
-            engine = SparqlUOEngine(store, "hashjoin", "base")
-        assert engine.mode.value == "base"
+        # Configuration is keyword-only.
+        with pytest.raises(TypeError):
+            SparqlUOEngine(store, "hashjoin", "base")
+        with pytest.raises(TypeError):
+            SparqlUOEngine.for_dataset(Dataset(), "hashjoin")
+        with pytest.raises(TypeError):
+            SparqlUOEngine.from_snapshot("unused.snap", "hashjoin")
 
     def test_unknown_option_rejected(self, store):
         with pytest.raises(TypeError, match="turbo"):
@@ -314,10 +318,13 @@ class TestPreparedQuery:
         assert not prepared.cached
 
     def test_legacy_tuple_unpacking(self, store):
+        # Fields are read by attribute; a PreparedQuery does not unpack.
         engine = SparqlUOEngine(store)
-        parsed, tree, report, parse_s, transform_s = engine.prepare(self.TEXT)
-        assert parsed.projection_names() == ["s"]
-        assert tree is engine.prepare(self.TEXT).tree
+        prepared = engine.prepare(self.TEXT)
+        assert prepared.query.projection_names() == ["s"]
+        assert prepared.tree is engine.prepare(self.TEXT).tree
+        with pytest.raises(TypeError):
+            parsed, tree, report, parse_s, transform_s = prepared
 
     def test_cache_hit_flag(self, store):
         engine = SparqlUOEngine(store)

@@ -4,16 +4,17 @@ import pytest
 from hypothesis import given, strategies as st
 
 from repro.rdf import TermDictionary
-from repro.storage import TripleIndexes
+from repro.storage import DeltaOverlayIndexes, FrozenTripleIndexes
 
 from .strategies import datasets
 
 
 def build(triples):
-    idx = TripleIndexes()
-    for t in triples:
-        idx.insert(t)
-    return idx
+    """Frozen permutations over ``triples`` (duplicates dropped)."""
+    distinct = list(dict.fromkeys(triples))
+    if not distinct:
+        return FrozenTripleIndexes.from_columns((), (), ())
+    return FrozenTripleIndexes.from_columns(*zip(*distinct))
 
 
 class TestInsert:
@@ -22,10 +23,11 @@ class TestInsert:
         assert len(idx) == 1
 
     def test_duplicate_rejected(self):
-        idx = TripleIndexes()
-        assert idx.insert((0, 1, 2)) is True
-        assert idx.insert((0, 1, 2)) is False
+        idx = DeltaOverlayIndexes(build([]))
+        assert idx.delta_insert((0, 1, 2)) is True
+        assert idx.delta_insert((0, 1, 2)) is False
         assert len(idx) == 1
+        assert len(build([(0, 1, 2), (0, 1, 2)])) == 1
 
     def test_contains(self):
         idx = build([(0, 1, 2)])

@@ -3,7 +3,7 @@
 Unit tests cover the :mod:`repro.obs` pieces in isolation (tracer
 nesting and abort semantics, constant lifting, the bounded registry,
 the size-bounded JSONL log).  Engine-level tests assert the span tree
-is well-formed across engines × sorted_runs × kernels and under LIMIT
+is well-formed across engines × kernels × pending writes and under LIMIT
 early-exit and timeout abort.  HTTP tests run a real server and check
 the full propagation story: header-activated traces stitched across
 the pool under one request id, cache-hit counters, the
@@ -25,7 +25,7 @@ from repro.core import EngineOptions, SparqlUOEngine
 from repro.datasets.lubm import generate_lubm
 from repro.obs import SlowQueryLog, TemplateRegistry, lift_template, render_trace
 from repro.obs import trace as obs_trace
-from repro.rdf import Dataset, IRI, Literal, dump_ntriples
+from repro.rdf import Dataset, IRI, Literal, Triple, dump_ntriples
 from repro.server import ServerConfig, SparqlServer
 from repro.sparql.errors import QueryTimeoutError
 from repro.sparql.parser import is_update_request, parse_query
@@ -58,7 +58,7 @@ def _small_dataset() -> Dataset:
 
 @pytest.fixture(scope="module")
 def small_store():
-    return TripleStore.from_dataset(_small_dataset()).freeze()
+    return TripleStore.from_dataset(_small_dataset())
 
 
 def assert_well_formed(node, _path="root"):
@@ -393,16 +393,24 @@ class TestEngineTracing:
         return result, tree
 
     @pytest.mark.parametrize("engine_name", ["wco", "hashjoin"])
-    @pytest.mark.parametrize("sorted_runs", [True, False])
+    @pytest.mark.parametrize("pending", [True, False])
     @pytest.mark.parametrize("kernels", [True, False])
-    def test_span_tree_across_configs(
-        self, small_store, engine_name, sorted_runs, kernels
-    ):
+    def test_span_tree_across_configs(self, small_store, engine_name, pending, kernels):
+        if pending:
+            # Scans over a delta overlay: one add and one tombstone that
+            # both fall inside the query's ranges.
+            small_store = TripleStore.from_dataset(_small_dataset())
+            small_store.apply_update(
+                inserts=[
+                    Triple(IRI(EX + "s99"), IRI(EX + "p"), IRI(EX + "o0")),
+                    Triple(IRI(EX + "s99"), IRI(EX + "name"), Literal("n99")),
+                ],
+                deletes=[Triple(IRI(EX + "s3"), IRI(EX + "p"), IRI(EX + "o0"))],
+            )
+            assert small_store.pending_delta == (2, 1)
         engine = SparqlUOEngine(
             small_store,
-            options=EngineOptions(
-                bgp_engine=engine_name, sorted_runs=sorted_runs, kernels=kernels
-            ),
+            options=EngineOptions(bgp_engine=engine_name, kernels=kernels),
         )
         query = (
             f"SELECT ?x ?n WHERE {{ ?x <{EX}p> <{EX}o0> . ?x <{EX}name> ?n "

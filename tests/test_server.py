@@ -9,6 +9,7 @@ worker-death and shedding paths.
 
 from __future__ import annotations
 
+import http.client
 import json
 import threading
 import time
@@ -385,6 +386,30 @@ class TestHttpEndpoint:
         _, _, second = sparql_get(server, query)
         assert second == first
         assert server.cache.stats()["hits"] == before + 1
+
+    def test_keep_alive_requests_do_not_stall(self, server):
+        """Responses on a reused connection arrive without a Nagle +
+        delayed-ACK stall (~40 ms each when headers and body go out in
+        separate sends), so 20 requests take well under 800 ms."""
+        host, port = urllib.parse.urlsplit(server.url).netloc.rsplit(":", 1)
+        path = "/sparql?" + urllib.parse.urlencode({"query": QUERY_HEADOF})
+        connection = http.client.HTTPConnection(host, int(port), timeout=60)
+        try:
+
+            def fetch() -> None:
+                connection.request("GET", path)
+                response = connection.getresponse()
+                assert response.status == 200
+                response.read()
+
+            fetch()  # warm: plan the query and fill the result cache
+            started = time.perf_counter()
+            for _ in range(20):
+                fetch()
+            elapsed = time.perf_counter() - started
+        finally:
+            connection.close()
+        assert elapsed < 0.4, f"20 keep-alive requests took {elapsed * 1000:.0f} ms"
 
     def test_concurrent_mixed_queries_byte_identical(self, server, local_engine):
         queries = [QUERY_HEADOF, QUERY_OPTIONAL, QUERY_UNION] * 3

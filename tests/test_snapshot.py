@@ -13,7 +13,7 @@ from repro.storage import (
     SnapshotReader,
     TripleStore,
 )
-from repro.storage.indexes import FrozenTripleIndexes, TripleIndexes
+from repro.storage.indexes import FrozenTripleIndexes
 from repro.storage.snapshot import decode_term_record, encode_term_record
 
 EX = "http://example.org/"
@@ -147,8 +147,8 @@ class TestRoundTrip:
         assert isinstance(loaded.indexes, FrozenTripleIndexes)
         added = loaded.add(Triple(IRI(EX + "new"), IRI(EX + "p"), Literal("v")))
         assert added
-        # Writes no longer thaw: they land in a sorted delta overlay
-        # stacked over the still-frozen permutations.
+        # Writes land in a sorted delta overlay stacked over the
+        # still-frozen permutations.
         assert isinstance(loaded.indexes, DeltaOverlayIndexes)
         assert loaded.generation == generation + 1
         assert len(loaded) == len(store) + 1
@@ -185,8 +185,9 @@ class TestPlanCache:
         before = rows_of(engine.execute(self.QUERY))
         engine.store.save(snap_path)
         engine.reload_store(TripleStore.load(snap_path))
-        _, _, _, parse_seconds, transform_seconds = engine.prepare(self.QUERY)
-        assert parse_seconds == 0.0 and transform_seconds == 0.0  # cache hit
+        prepared = engine.prepare(self.QUERY)
+        assert prepared.parse_seconds == 0.0  # cache hit
+        assert prepared.transform_seconds == 0.0
         assert rows_of(engine.execute(self.QUERY)) == before
 
     def test_plan_cache_misses_when_generation_differs(self, snap_path):
@@ -196,8 +197,8 @@ class TestPlanCache:
         loaded = TripleStore.load(snap_path)
         loaded.add(Triple(IRI(EX + "other"), IRI(EX + "p"), Literal("x")))
         engine.reload_store(loaded)
-        _, _, _, parse_seconds, _ = engine.prepare(self.QUERY)
-        assert parse_seconds > 0.0  # write bumped the generation: replanned
+        prepared = engine.prepare(self.QUERY)
+        assert prepared.parse_seconds > 0.0  # write bumped the generation: replanned
 
     def test_plan_cache_misses_for_unrelated_store_with_same_generation(self):
         store_a = TripleStore.from_dataset(tricky_dataset())
@@ -209,8 +210,8 @@ class TestPlanCache:
         engine = SparqlUOEngine(store_a, mode="full")
         engine.execute(self.QUERY)
         engine.reload_store(store_b)  # same generation, different data
-        _, _, _, parse_seconds, _ = engine.prepare(self.QUERY)
-        assert parse_seconds > 0.0  # content counts differ: replanned
+        prepared = engine.prepare(self.QUERY)
+        assert prepared.parse_seconds > 0.0  # content counts differ: replanned
 
     def test_from_snapshot_constructor(self, snap_path):
         store = TripleStore.from_dataset(tricky_dataset())

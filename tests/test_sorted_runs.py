@@ -8,13 +8,13 @@ Four levels of coverage:
    — empty runs, duplicate keys, UNBOUND columns — each checked for
    exact bag equality against the hash :func:`~repro.sparql.bags.join`;
 3. engine-level checks that the merge / leapfrog / intersection paths
-   actually *fire* on frozen stores (counters observable), that
-   ``sorted_runs=False`` pins the classic paths, and hypothesis
-   property tests asserting both configurations × both engines ×
-   candidate shapes are row-set-identical (the differential suite in
+   actually *fire* (counters observable), and hypothesis property tests
+   asserting both engines × candidate shapes match the naive oracle
+   (``tests/oracle.py``; the differential suite in
    ``test_differential.py`` extends this to full queries × 300 seeds);
 4. the satellite invariants: cached predicate id sets, batch decode,
-   ``TripleStore.freeze`` and snapshot permutation verification.
+   every store construction path landing on frozen permutations, and
+   snapshot permutation verification.
 """
 
 from __future__ import annotations
@@ -25,8 +25,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bgp import HashJoinEngine, WCOJoinEngine
+from repro.bgp.hashjoin import binary_join_cost, merge_join_cost
+from repro.bgp.plans import greedy_pattern_order
 from repro.core.metrics import EXEC_COUNTERS
 from repro.rdf import Dataset, IRI, TriplePattern, Variable
+from repro.sparql.algebra import GroupGraphPattern
 from repro.sparql.bags import Bag, UNBOUND, join, merge_join_streamed
 from repro.storage import (
     FrozenTripleIndexes,
@@ -40,6 +43,7 @@ from repro.storage import (
 )
 from repro.storage.snapshot import SnapshotReader, write_snapshot
 
+from . import oracle
 from .strategies import datasets, triple_patterns
 
 EX = "http://x/"
@@ -229,8 +233,7 @@ class TestMergeJoinStreamed:
 # ----------------------------------------------------------------------
 # engine-level path selection and equivalence
 # ----------------------------------------------------------------------
-@pytest.fixture(scope="module")
-def chain_store():
+def _chain_dataset():
     d = Dataset()
     for i in range(40):
         s = IRI(EX + f"n{i}")
@@ -238,114 +241,107 @@ def chain_store():
         d.add_spo(s, Q, IRI(EX + f"n{(i + 1) % 40}"))
         if i % 4 == 0:
             d.add_spo(s, R, IRI(EX + "flag"))
-    return TripleStore.from_dataset(d).freeze()
+    return d
+
+
+@pytest.fixture(scope="module")
+def chain_store():
+    return TripleStore.from_dataset(_chain_dataset())
+
+
+def _engine_rows(engine, patterns, candidates=None):
+    """An engine's BGP result as a decoded-row multiset."""
+    bag = engine.decode_bag(engine.evaluate(patterns, candidates))
+    return oracle.as_counter([dict(mu) for mu in bag])
+
+
+def _oracle_rows(patterns, dataset, store=None, candidates=None):
+    """The naive oracle's BGP result, restricted to ``candidates`` (ids
+    of ``store``) the way an engine must apply them."""
+    rows = oracle.evaluate_group(GroupGraphPattern(patterns), dataset)
+    for name, allowed in (candidates or {}).items():
+        rows = [mu for mu in rows if name not in mu or store.lookup(mu[name]) in allowed]
+    return oracle.as_counter(rows)
 
 
 class TestEnginePaths:
+    PATTERNS = [
+        TriplePattern(X, P, IRI(EX + "hub")),
+        TriplePattern(X, R, IRI(EX + "flag")),
+    ]
+
     def test_merge_join_path_fires(self, chain_store):
-        patterns = [
-            TriplePattern(X, P, IRI(EX + "hub")),
-            TriplePattern(X, R, IRI(EX + "flag")),
-        ]
         before = EXEC_COUNTERS.snapshot()
-        sorted_bag = HashJoinEngine(chain_store).evaluate(patterns)
+        engine = HashJoinEngine(chain_store)
+        sorted_bag = engine.evaluate(self.PATTERNS)
         delta = EXEC_COUNTERS.delta_since(before)
         assert delta["merge_joins"] >= 1 and delta["hash_joins"] == 0
-        baseline = HashJoinEngine(chain_store, sorted_runs=False).evaluate(patterns)
-        assert sorted_bag == baseline and len(sorted_bag) == 10
-
-    def test_sorted_runs_off_pins_hash_path(self, chain_store):
-        patterns = [
-            TriplePattern(X, P, IRI(EX + "hub")),
-            TriplePattern(X, R, IRI(EX + "flag")),
-        ]
-        before = EXEC_COUNTERS.snapshot()
-        HashJoinEngine(chain_store, sorted_runs=False).evaluate(patterns)
-        delta = EXEC_COUNTERS.delta_since(before)
-        assert delta["merge_joins"] == 0 and delta["hash_joins"] >= 1
-
-    def test_thawed_store_falls_back(self, chain_store):
-        patterns = [
-            TriplePattern(X, P, IRI(EX + "hub")),
-            TriplePattern(X, R, IRI(EX + "flag")),
-        ]
-        thawed = TripleStore.from_dataset(
-            Dataset(
-                [t for t in map(chain_store.dictionary.decode_triple,
-                                chain_store.indexes.all_triples())]
-            )
-        )
-        before = EXEC_COUNTERS.snapshot()
-        thawed_engine = HashJoinEngine(thawed)
-        bag = thawed_engine.evaluate(patterns)
-        assert EXEC_COUNTERS.delta_since(before)["merge_joins"] == 0
-        # Different stores mint different ids: compare term-level bags.
-        frozen_engine = HashJoinEngine(chain_store)
-        assert thawed_engine.decode_bag(bag) == frozen_engine.decode_bag(
-            frozen_engine.evaluate(patterns)
+        assert len(sorted_bag) == 10
+        assert _engine_rows(engine, self.PATTERNS) == _oracle_rows(
+            self.PATTERNS, _chain_dataset()
         )
 
     def test_wco_leapfrog_consumes_verifier(self, chain_store):
-        patterns = [
-            TriplePattern(X, P, IRI(EX + "hub")),
-            TriplePattern(X, R, IRI(EX + "flag")),
-        ]
         before = EXEC_COUNTERS.snapshot()
-        bag = WCOJoinEngine(chain_store).evaluate(patterns)
+        engine = WCOJoinEngine(chain_store)
+        engine.evaluate(self.PATTERNS)
         delta = EXEC_COUNTERS.delta_since(before)
         assert delta["candidate_intersections"] >= 1
         assert delta["gallop_probes"] >= 1
-        assert bag == WCOJoinEngine(chain_store, sorted_runs=False).evaluate(patterns)
+        assert _engine_rows(engine, self.PATTERNS) == _oracle_rows(
+            self.PATTERNS, _chain_dataset()
+        )
 
     def test_sorted_candidates_intersect_runs(self, chain_store):
         lookup = chain_store.lookup
-        ids = SortedIdSet.from_ids(
-            lookup(IRI(EX + f"n{i}")) for i in (0, 4, 5, 8)
-        )
+        candidates = {
+            "x": SortedIdSet.from_ids(lookup(IRI(EX + f"n{i}")) for i in (0, 4, 5, 8))
+        }
         patterns = [TriplePattern(X, P, IRI(EX + "hub"))]
+        expected = _oracle_rows(patterns, _chain_dataset(), chain_store, candidates)
+        assert sum(expected.values()) == 4
         for cls in (HashJoinEngine, WCOJoinEngine):
-            sorted_bag = cls(chain_store).evaluate(patterns, {"x": ids})
-            set_bag = cls(chain_store, sorted_runs=False).evaluate(
-                patterns, {"x": set(ids)}
-            )
-            assert sorted_bag == set_bag and len(sorted_bag) == 4
+            before = EXEC_COUNTERS.snapshot()
+            rows = _engine_rows(cls(chain_store), patterns, candidates)
+            assert EXEC_COUNTERS.delta_since(before)["candidate_intersections"] >= 1
+            assert rows == expected
 
     def test_estimate_prices_merge_cheaper(self, chain_store):
-        patterns = [
-            TriplePattern(X, P, IRI(EX + "hub")),
-            TriplePattern(X, R, IRI(EX + "flag")),
-        ]
-        merge_cost = HashJoinEngine(chain_store).estimate(patterns).cost
-        hash_cost = HashJoinEngine(chain_store, sorted_runs=False).estimate(patterns).cost
-        assert merge_cost < hash_cost
+        engine = HashJoinEngine(chain_store)
+
+        def count(pattern):
+            return chain_store.count_pattern(chain_store.encode_pattern(pattern))
+
+        first, second = greedy_pattern_order(self.PATTERNS, count)
+        _, per_step = engine.estimator.estimate_sequence([first, second])
+        cost = engine.estimate(self.PATTERNS).cost
+        assert cost == count(first) + merge_join_cost(per_step[0], count(second))
+        assert cost < count(first) + binary_join_cost(per_step[0], count(second))
 
     @settings(max_examples=40, deadline=None)
     @given(datasets(), st.lists(triple_patterns(), min_size=1, max_size=3))
     def test_sorted_and_classic_paths_agree(self, dataset, patterns):
-        store = TripleStore.from_dataset(dataset).freeze()
+        store = TripleStore.from_dataset(dataset)
+        expected = _oracle_rows(patterns, dataset)
         for cls in (HashJoinEngine, WCOJoinEngine):
-            sorted_bag = cls(store).evaluate(patterns)
-            classic = cls(store, sorted_runs=False).evaluate(patterns)
-            assert sorted_bag == classic
+            assert _engine_rows(cls(store), patterns) == expected
 
     @settings(max_examples=30, deadline=None)
     @given(datasets(), st.lists(triple_patterns(), min_size=1, max_size=2))
     def test_paths_agree_under_candidates(self, dataset, patterns):
-        store = TripleStore.from_dataset(dataset).freeze()
+        store = TripleStore.from_dataset(dataset)
         ids = {store.dictionary.lookup(t.subject) for t in dataset}
         ids.discard(None)
         if not ids:
             return
-        sorted_cand = {"v0": SortedIdSet.from_ids(ids)}
-        set_cand = {"v0": ids}
+        candidates = {"v0": SortedIdSet.from_ids(ids)}
+        expected = _oracle_rows(patterns, dataset, store, candidates)
         for cls in (HashJoinEngine, WCOJoinEngine):
-            assert cls(store).evaluate(patterns, sorted_cand) == cls(
-                store, sorted_runs=False
-            ).evaluate(patterns, set_cand)
+            assert _engine_rows(cls(store), patterns, candidates) == expected
 
 
 # ----------------------------------------------------------------------
-# satellites: cached predicate sets, freeze, batch decode, verification
+# satellites: cached predicate sets, construction, batch decode, verification
 # ----------------------------------------------------------------------
 class TestPredicateSetCaches:
     def _store(self):
@@ -356,7 +352,7 @@ class TestPredicateSetCaches:
         return TripleStore.from_dataset(d)
 
     def test_frozen_returns_cached_sorted_sets(self):
-        store = self._store().freeze()
+        store = self._store()
         p = store.lookup(P)
         indexes = store.indexes
         first = indexes.subjects_of_predicate(p)
@@ -379,34 +375,36 @@ class TestPredicateSetCaches:
 
 
 class TestFreeze:
+    """Every store is frozen permutations from the start; writes go to
+    a delta overlay on top."""
+
     def test_freeze_is_idempotent_and_equivalent(self):
         d = Dataset()
         for i in range(10):
             d.add_spo(IRI(EX + f"s{i}"), P, IRI(EX + f"o{i % 3}"))
-        cold = TripleStore.from_dataset(d)
-        expected = sorted(cold.indexes.all_triples())
-        frozen = cold.freeze()
-        assert frozen is cold
-        assert isinstance(cold.indexes, FrozenTripleIndexes)
-        assert cold.freeze() is cold
-        assert sorted(cold.indexes.all_triples()) == expected
+        store = TripleStore.from_dataset(d)
+        assert isinstance(store.indexes, FrozenTripleIndexes)
+        assert store.indexes is store.indexes  # sorted once, then kept
+        decoded = {store.dictionary.decode_triple(t) for t in store.indexes.all_triples()}
+        assert decoded == set(d)
+        assert store.indexes.all_triples() == sorted(store.indexes.all_triples())
 
     def test_write_after_freeze_uses_delta_overlay(self):
         d = Dataset()
         d.add_spo(IRI(EX + "a"), P, IRI(EX + "b"))
-        store = TripleStore.from_dataset(d).freeze()
+        store = TripleStore.from_dataset(d)
         from repro.rdf import Triple
         from repro.storage import DeltaOverlayIndexes
 
         assert store.add(Triple(IRI(EX + "c"), P, IRI(EX + "d")))
         assert len(store) == 2
-        # No thaw: the write lands in a sorted delta overlay and the
-        # store keeps the frozen sorted-run read paths.
+        # The write lands in a sorted delta overlay and the store keeps
+        # the frozen sorted-run read paths.
         assert isinstance(store.indexes, DeltaOverlayIndexes)
         assert isinstance(store.indexes, FrozenTripleIndexes)
 
     def test_empty_store_freezes(self):
-        store = TripleStore().freeze()
+        store = TripleStore()
         assert len(store) == 0
         assert isinstance(store.indexes, FrozenTripleIndexes)
 
@@ -461,7 +459,7 @@ class TestPermutationVerification:
 
     def test_unsorted_permutations_rejected(self, tmp_path):
         store = TripleStore.from_dataset(self._dataset())
-        frozen = store.freeze().indexes
+        frozen = store.indexes
         arrays = [array("Q", a) for a in frozen.permutation_arrays()]
         # Corrupt the SPO pair-key order (valid checksums, broken sort).
         arrays[0][0], arrays[0][-1] = arrays[0][-1], arrays[0][0]

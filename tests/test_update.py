@@ -3,7 +3,7 @@
 Covers the three supported operation forms (``INSERT DATA``,
 ``DELETE DATA``, ``DELETE/INSERT … WHERE``), the engine's template
 instantiation rules, the write-path invalidation fix (no-op batches
-must not bump the generation or drop derived caches), the no-thaw
+must not bump the generation or drop derived caches), the sorted-run
 guarantee (queries over pending writes still take the sorted-run
 execution paths), and the two write-path fault sites
 (``delta.apply``, ``compact.publish``).
@@ -182,17 +182,16 @@ class TestEngineUpdate:
 
     @pytest.mark.parametrize("bgp_engine", ["wco", "hashjoin"])
     def test_reads_over_pending_writes_stay_on_sorted_runs(self, bgp_engine):
-        """The no-thaw guarantee: after live writes the store still
-        serves a frozen-shaped index and queries still take the
-        merge/gallop execution paths — over results that already
-        include the pending writes."""
+        """After live writes the store still serves a frozen-shaped
+        index and queries still take the merge/gallop execution paths
+        — over results that already include the pending writes."""
         triples = []
         for i in range(40):
             s = IRI(f"{EX}n{i}")
             triples.append(Triple(s, IRI(f"{EX}p"), IRI(f"{EX}hub")))
             if i % 4 == 0:
                 triples.append(Triple(s, IRI(f"{EX}r"), IRI(f"{EX}flag")))
-        store = TripleStore.from_triples(triples).freeze()
+        store = TripleStore.from_triples(triples)
         engine = SparqlUOEngine(store, bgp_engine=bgp_engine)
         engine.update(
             f"INSERT DATA {{ <{EX}extra> <{EX}p> <{EX}hub> . "

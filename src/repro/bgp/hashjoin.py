@@ -39,7 +39,7 @@ its permutation's leading free position).
 from __future__ import annotations
 
 from itertools import islice
-from typing import Callable, Dict, Iterator, List, Optional, Sequence, Set, Tuple, Union
+from typing import Callable, Iterator, List, Optional, Sequence, Set, Tuple, Union
 
 from ..rdf.triple import TriplePattern
 from ..sparql.bags import (
@@ -56,7 +56,7 @@ from ..storage.store import TripleStore
 from .cardinality import CardinalityEstimator, pattern_count
 from .filters import combine_predicates as _combine, filtered_rows as _filtered_rows
 from .interface import BGPEngine, Candidates, PlanEstimate, ticked_rows
-from .plans import greedy_pattern_order, scan_sort_variable
+from .plans import scan_sort_variable
 
 __all__ = ["HashJoinEngine", "binary_join_cost", "merge_join_cost"]
 
@@ -96,7 +96,6 @@ class HashJoinEngine(BGPEngine):
     ):
         super().__init__(store)
         self.estimator = estimator or CardinalityEstimator(store)
-        self._estimate_cache: Dict[tuple, PlanEstimate] = {}
 
     # ------------------------------------------------------------------
     # evaluation
@@ -119,14 +118,12 @@ class HashJoinEngine(BGPEngine):
         if tracer is not None:
             tracer.annotate(engine=self.name, patterns=len(patterns))
         counters = _exec_counters()
-        # Counted once: count_pattern enumerates for repeated-variable
-        # patterns, and both the ordering and the build-side choice
-        # below consume the same numbers.
-        counts = {
-            pattern: self.store.count_pattern(self.store.encode_pattern(pattern))
-            for pattern in patterns
-        }
-        ordered = greedy_pattern_order(patterns, counts.__getitem__)
+        # Counted once per store state (the memoized plan):
+        # count_pattern enumerates for repeated-variable patterns, and
+        # both the ordering and the build-side choice below consume the
+        # same numbers.
+        plan = self.plan(patterns)
+        counts, ordered = plan.counts, plan.ordered
         remaining = list(filters) if filters else []
         result: Optional[Bag] = None
         #: Variable the accumulated result's rows are ascending on (the
@@ -495,23 +492,15 @@ class HashJoinEngine(BGPEngine):
     ) -> PlanEstimate:
         if not patterns:
             return PlanEstimate(0.0, 1.0)
-        # Estimation is sampling-based and deterministic for a fixed
-        # store, so the candidate-free case is memoized — both the
-        # transformer's Δ-cost probing and the adaptive pruning
-        # threshold hit the same BGPs repeatedly.  The key carries the
-        # generation so a write cannot serve stale numbers.
-        key = (
-            (self.store.generation, len(self.store), tuple(patterns))
-            if candidates is None
-            else None
-        )
-        if key is not None:
-            cached = self._estimate_cache.get(key)
-            if cached is not None:
-                return cached
-        ordered = greedy_pattern_order(
-            patterns, lambda p: self.store.count_pattern(self.store.encode_pattern(p))
-        )
+        # Estimation is sampling-based, so the candidate-free case is
+        # memoized in the BGP's plan — both the transformer's Δ-cost
+        # probing and the adaptive pruning threshold hit the same BGPs
+        # repeatedly.  The plan cache is dropped on every write, so a
+        # write cannot serve stale numbers.
+        plan = self.plan(patterns)
+        if candidates is None and plan.estimate is not None:
+            return plan.estimate
+        ordered = plan.ordered
         final_card, per_step = self.estimator.estimate_sequence(ordered)
         first_count = float(pattern_count(self.store, ordered[0], candidates))
         cost = first_count  # reading the first relation
@@ -536,6 +525,6 @@ class HashJoinEngine(BGPEngine):
                 acc_sorted = sort_var if mergeable else None
             seen_vars |= pattern_vars
         estimate = PlanEstimate(cost, final_card)
-        if key is not None:
-            self._estimate_cache[key] = estimate
+        if candidates is None:
+            plan.estimate = estimate
         return estimate

@@ -21,11 +21,14 @@ mappings at projection time.
 
 from __future__ import annotations
 
+import threading
+from collections import OrderedDict
 from typing import (
     Callable,
     Dict,
     Iterable,
     Iterator,
+    List,
     Optional,
     Sequence,
     Set,
@@ -38,10 +41,12 @@ from ..rdf.triple import TriplePattern
 from ..sparql.bags import Bag, UNBOUND
 from ..storage.runs import SortedIdSet
 from ..storage.store import TripleStore
+from .plans import greedy_pattern_order
 
 __all__ = [
     "Candidates",
     "PlanEstimate",
+    "BGPPlan",
     "BGPEngine",
     "decode_bag",
     "ground_pattern_present",
@@ -144,14 +149,65 @@ class PlanEstimate:
         return f"PlanEstimate(cost={self.cost:.1f}, cardinality={self.cardinality:.1f})"
 
 
+class BGPPlan:
+    """What an engine remembers about one BGP between executions.
+
+    ``counts`` maps each pattern to its exact match count, ``ordered``
+    is the greedy connected join order over those counts, and
+    ``estimate`` is the candidate-free :class:`PlanEstimate`, filled on
+    first use.  All three depend on the store's contents only.
+    """
+
+    __slots__ = ("counts", "ordered", "estimate")
+
+    def __init__(self, counts: Dict[TriplePattern, int], ordered: List[TriplePattern]):
+        self.counts = counts
+        self.ordered = ordered
+        self.estimate: Optional[PlanEstimate] = None
+
+
 class BGPEngine:
     """Abstract BGP evaluation engine bound to one :class:`TripleStore`."""
 
     #: Human-readable engine name (used in benchmark output).
     name = "abstract"
 
+    #: BGP plans an engine keeps (least recently used evicted first).
+    plan_cache_size = 128
+
     def __init__(self, store: TripleStore):
         self.store = store
+        self._plans: "OrderedDict[Tuple[TriplePattern, ...], BGPPlan]" = OrderedDict()
+        self._plans_token: Optional[Tuple[int, int]] = None
+        # One engine may serve several reader threads while a writer
+        # moves the generation; the LRU bookkeeping is check-then-act.
+        self._plans_lock = threading.Lock()
+
+    def plan(self, patterns: Sequence[TriplePattern]) -> BGPPlan:
+        """The memoized :class:`BGPPlan` of a BGP, keyed by its pattern
+        tuple.  The whole cache is dropped when the store's write
+        generation (or triple count) moves, so a write never serves
+        stale counts, and it holds at most :attr:`plan_cache_size`
+        entries."""
+        store = self.store
+        token = (store.generation, len(store))
+        key = tuple(patterns)
+        with self._plans_lock:
+            if token != self._plans_token:
+                self._plans.clear()
+                self._plans_token = token
+            plan = self._plans.get(key)
+            if plan is not None:
+                self._plans.move_to_end(key)
+                return plan
+        counts = {p: store.count_pattern(store.encode_pattern(p)) for p in key}
+        plan = BGPPlan(counts, greedy_pattern_order(key, counts.__getitem__))
+        with self._plans_lock:
+            if token == self._plans_token:  # no write landed meanwhile
+                self._plans[key] = plan
+                if len(self._plans) > self.plan_cache_size:
+                    self._plans.popitem(last=False)
+        return plan
 
     # ------------------------------------------------------------------
     # mandatory interface

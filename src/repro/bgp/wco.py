@@ -48,7 +48,6 @@ from .cardinality import CardinalityEstimator, pattern_count
 from .filters import combine_predicates as _combine
 from .interface import BGPEngine, Candidates, PlanEstimate, ticked_rows
 from .kernels import KERNEL_CHUNK, FilterKernel
-from .plans import greedy_pattern_order
 
 __all__ = ["WCOJoinEngine"]
 
@@ -145,7 +144,6 @@ class WCOJoinEngine(BGPEngine):
     ):
         super().__init__(store)
         self.estimator = estimator or CardinalityEstimator(store)
-        self._estimate_cache: Dict[tuple, PlanEstimate] = {}
 
     # ------------------------------------------------------------------
     # evaluation
@@ -172,7 +170,7 @@ class WCOJoinEngine(BGPEngine):
             return Bag.empty()
         counters = _exec_counters()
         indexes = self.store.indexes
-        ordered = self._order_edges(patterns)
+        ordered = self.plan(patterns).ordered
         ordered_edges = [_Edge(self.store, p) for p in ordered]
         remaining = list(filters) if filters else []
         schema: List[str] = []
@@ -214,11 +212,6 @@ class WCOJoinEngine(BGPEngine):
         for compiled in remaining:  # safety net; empty when the caller
             result = compiled.apply(result)  # covers vars correctly
         return result
-
-    def _order_edges(self, patterns: Sequence[TriplePattern]) -> List[TriplePattern]:
-        return greedy_pattern_order(
-            patterns, lambda p: self.store.count_pattern(self.store.encode_pattern(p))
-        )
 
     @staticmethod
     def _extension_vertex(edge: _Edge, slots: Dict[str, int]) -> Optional[str]:
@@ -587,19 +580,13 @@ class WCOJoinEngine(BGPEngine):
         """WCO cost: Σ_k card(V_{k-1}) × min_i average_size(vi, p_k)."""
         if not patterns:
             return PlanEstimate(0.0, 1.0)
-        # Memoize the (deterministic) candidate-free case: Δ-cost
+        # Memoize the candidate-free case in the BGP's plan: Δ-cost
         # probing and the adaptive pruning threshold hit the same BGPs
         # many times per query.
-        key = (
-            (self.store.generation, len(self.store), tuple(patterns))
-            if candidates is None
-            else None
-        )
-        if key is not None:
-            cached = self._estimate_cache.get(key)
-            if cached is not None:
-                return cached
-        ordered = self._order_edges(patterns)
+        plan = self.plan(patterns)
+        if candidates is None and plan.estimate is not None:
+            return plan.estimate
+        ordered = plan.ordered
         final_card, per_step = self.estimator.estimate_sequence(ordered)
         cost = float(pattern_count(self.store, ordered[0], candidates))
         bound_vars = {v.name for v in ordered[0].variables()}
@@ -609,8 +596,8 @@ class WCOJoinEngine(BGPEngine):
             cost += previous_card * self._min_average_size(pattern, bound_vars)
             bound_vars |= {v.name for v in pattern.variables()}
         estimate = PlanEstimate(cost, final_card)
-        if key is not None:
-            self._estimate_cache[key] = estimate
+        if candidates is None:
+            plan.estimate = estimate
         return estimate
 
     def _min_average_size(self, pattern: TriplePattern, bound_vars: Set[str]) -> float:

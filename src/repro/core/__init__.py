@@ -29,6 +29,7 @@ from .transform import (
     decide_inject,
     decide_merge,
     multi_level_transform,
+    order_siblings,
     perform_inject,
     perform_merge,
     single_level_transform,
@@ -69,6 +70,7 @@ __all__ = [
     "decide_merge",
     "decide_inject",
     "single_level_transform",
+    "order_siblings",
     "multi_level_transform",
     "InvalidBETreeError",
     "validate_tree",

@@ -24,8 +24,7 @@ several nodes at once.
 
 from __future__ import annotations
 
-import math
-from typing import Dict, List, Optional as Opt, Sequence, Tuple
+from typing import Optional as Opt, Sequence, Tuple
 
 from ..bgp.interface import BGPEngine, PlanEstimate
 from .betree import BENode, BGPNode, FilterNode, GroupNode, OptionalNode, UnionNode
@@ -51,13 +50,13 @@ def f_optional(left_size: float, right_size: float) -> float:
 class CostModel:
     """Estimates node result sizes and local transformation costs.
 
-    BGP estimates are delegated to the engine and memoized on the
-    pattern list, so repeated perform/undo probing stays cheap.
+    BGP estimates are delegated to the engine, whose plan cache
+    memoizes them per store state, so repeated perform/undo probing
+    stays cheap and a write is seen by the next transformation.
     """
 
     def __init__(self, engine: BGPEngine):
         self.engine = engine
-        self._memo: Dict[Tuple, PlanEstimate] = {}
 
     # ------------------------------------------------------------------
     # per-node estimates
@@ -65,12 +64,7 @@ class CostModel:
     def bgp_estimate(self, node: BGPNode) -> PlanEstimate:
         if node.is_empty():
             return PlanEstimate(0.0, 1.0)
-        key = tuple(node.patterns)
-        cached = self._memo.get(key)
-        if cached is None:
-            cached = self.engine.estimate(node.patterns)
-            self._memo[key] = cached
-        return cached
+        return self.engine.estimate(node.patterns)
 
     def result_size(self, node: BENode) -> float:
         """Estimated |res(node)| under the paper's simple distribution

@@ -263,7 +263,7 @@ class SparqlUOEngine:
         #: parsed-query → BE-tree plan cache, keyed on query text and
         #: invalidated by the store's plan token (write generation plus
         #: cheap content counts, see :meth:`_plan_token`).  Complements
-        #: the BGP engines' estimate caches: repeated executions of the
+        #: the BGP engines' plan caches: repeated executions of the
         #: same query text skip parsing AND the cost-driven
         #: transformation.
         self._plan_cache: "OrderedDict[str, Tuple[tuple, SelectQuery, BETree, Opt[TransformReport], Opt[dict]]]" = (

@@ -1,8 +1,22 @@
-"""BE-tree transformations: merge, inject, and cost-driven selection.
+"""BE-tree transformations: merge, inject, sibling ordering, and
+cost-driven selection.
 
 Implements Definitions 9–10 (the transformation primitives), Algorithm 2
 (single-level decision), Algorithm 3 (Δ-cost probing subroutines) and
 Algorithm 4 (multi-level greedy, post-order traversal).
+
+Algorithm 4 visits each group once; after its single-level merge/inject
+decision, :func:`order_siblings` reorders the group's joined children
+(the paper's "reorder" step).  Algorithm 1 joins children left to
+right, so a child that shares no certain variable with the rows before
+it builds a near-cartesian intermediate, and §6's pruning has nothing
+to pass down to it.  The rule is connectivity, not the cost model: the
+product-of-children group estimate is orders of magnitude off on nested
+groups, while the shared certain variables are exactly what pruning
+turns into candidates.  Ordering never moves a child across an
+OPTIONAL: bag joins commute and associate, ⟕ does not.  FILTER
+children keep their slots, since a group's filters are collected up
+front wherever they sit.
 
 Both primitives are *undoable*: :func:`perform_merge` /
 :func:`perform_inject` return an undo closure, which Algorithm 3's
@@ -30,6 +44,7 @@ from .betree import (
     GroupNode,
     OptionalNode,
     UnionNode,
+    _certain_of,
     certain_variables,
     coalesce_siblings,
 )
@@ -43,6 +58,7 @@ __all__ = [
     "decide_merge",
     "decide_inject",
     "single_level_transform",
+    "order_siblings",
     "multi_level_transform",
     "TransformReport",
 ]
@@ -56,17 +72,20 @@ class TransformReport:
     def __init__(self):
         self.merges: int = 0
         self.injects: int = 0
+        #: Groups whose joined children :func:`order_siblings` reordered.
+        self.reorders: int = 0
         self.considered: int = 0
         self.total_delta: float = 0.0
 
     @property
     def transformations(self) -> int:
-        return self.merges + self.injects
+        return self.merges + self.injects + self.reorders
 
     def __repr__(self) -> str:
         return (
             f"TransformReport(merges={self.merges}, injects={self.injects}, "
-            f"considered={self.considered}, total_delta={self.total_delta:.1f})"
+            f"reorders={self.reorders}, considered={self.considered}, "
+            f"total_delta={self.total_delta:.1f})"
         )
 
 
@@ -374,6 +393,61 @@ def single_level_transform(
 
 
 # ----------------------------------------------------------------------
+# sibling ordering
+# ----------------------------------------------------------------------
+def _order_run(run: List[BENode], certain: Set[str]) -> List[BENode]:
+    """Order one OPTIONAL-free run of joined children, greedily.
+
+    The first child stays first; each next one is the remaining child
+    sharing the most variables with ``certain`` (earliest written wins a
+    tie).  ``certain`` grows by each placed child's certain variables.
+    """
+    rest = list(run)
+    ordered: List[BENode] = []
+    while rest:
+        best = 0
+        if ordered:
+            best = max(
+                range(len(rest)),
+                key=lambda i: (len(rest[i].variables() & certain), -i),
+            )
+        child = rest.pop(best)
+        ordered.append(child)
+        certain |= _certain_of(child)
+    return ordered
+
+
+def order_siblings(group: GroupNode) -> bool:
+    """Reorder ``group``'s joined children by shared certain variables.
+
+    The non-FILTER children split into runs at OPTIONAL children; each
+    run is ordered by :func:`_order_run`, seeded with the variables the
+    children before it certainly bind.  OPTIONALs and FILTERs keep their
+    slots.  Returns True when the order changed.
+    """
+    operators = group.operator_children()
+    ordered: List[BENode] = []
+    certain: Set[str] = set()
+    run: List[BENode] = []
+    for child in operators:
+        if isinstance(child, OptionalNode):
+            ordered.extend(_order_run(run, certain))
+            ordered.append(child)
+            run = []
+        else:
+            run.append(child)
+    ordered.extend(_order_run(run, certain))
+    if all(a is b for a, b in zip(ordered, operators)):
+        return False
+    slots = iter(ordered)
+    group.children[:] = [
+        child if isinstance(child, FilterNode) else next(slots)
+        for child in group.children
+    ]
+    return True
+
+
+# ----------------------------------------------------------------------
 # Algorithm 4: multi-level greedy transformation
 # ----------------------------------------------------------------------
 def multi_level_transform(
@@ -385,7 +459,8 @@ def multi_level_transform(
 
     Lower levels are fully transformed before their parents, so each
     single-level decision sees stable child costs — the greedy strategy
-    that keeps the exponential multi-level plan space tractable.
+    that keeps the exponential multi-level plan space tractable.  Each
+    group's children are then ordered by :func:`order_siblings`.
     """
     report = TransformReport()
 
@@ -399,6 +474,8 @@ def multi_level_transform(
             elif isinstance(child, OptionalNode):
                 traverse(child.group)
         single_level_transform(cost_model, group, report, skip_cp_equivalent)
+        if order_siblings(group):
+            report.reorders += 1
 
     traverse(tree.root)
     return report

@@ -400,7 +400,14 @@ def join(bag1: Bag, bag2: Bag, checkpoint=None) -> Bag:
     cancellation hook of the deadline machinery.  Output size is
     exactly where a join explodes (cartesian products in particular),
     so ticking on emission is the bound that matters.
+
+    Ω ⋈ {μ∅} is Ω itself: the identity side (a retained empty BGP node
+    evaluates to it) returns the other bag as is, not a row-by-row copy.
     """
+    if not bag2._schema and len(bag2._rows) == 1:
+        return bag1
+    if not bag1._schema and len(bag1._rows) == 1:
+        return bag2
     if len(bag2) < len(bag1):
         bag1, bag2 = bag2, bag1
     return _hash_join(bag1, bag2._schema, bag2._rows, checkpoint=checkpoint)

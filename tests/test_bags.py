@@ -121,6 +121,15 @@ class TestJoin:
         assert join(Bag.identity(), bag) == bag
         assert join(bag, Bag.identity()) == bag
 
+    def test_identity_returns_other_side_uncopied(self):
+        bag = Bag.from_rows(("a", "b"), [(1, 2), (3, 4)])
+        assert join(Bag.identity(), bag) is bag
+        assert join(bag, Bag.identity()) is bag
+        empty = Bag.from_rows(("a",), [])
+        assert join(Bag.identity(), empty) is empty
+        assert join(empty, Bag.identity()) is empty
+        assert join(Bag.identity(), empty).schema == ("a",)
+
     def test_preserves_duplicates(self):
         out = join(Bag([{"a": 1}, {"a": 1}]), Bag([{"a": 1}]))
         assert len(out) == 2

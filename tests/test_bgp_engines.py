@@ -5,11 +5,15 @@ Every behavioural test runs over both engines via the parametrized
 SPARQL-UO layer rests on (§4's architectural claim).
 """
 
+import sys
+import threading
+import time
+
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from repro.bgp import HashJoinEngine, WCOJoinEngine
-from repro.rdf import Dataset, IRI, TriplePattern, Variable
+from repro.rdf import Dataset, IRI, Triple, TriplePattern, Variable
 from repro.sparql.bags import Bag, join as bag_join
 from repro.sparql.semantics import evaluate_triple_pattern
 from repro.storage import SortedIdSet, TripleStore
@@ -164,6 +168,106 @@ class TestEstimates:
             [TriplePattern(X, P, Y), TriplePattern(Y, Q, Z)]
         )
         assert estimate.cost >= 0 and estimate.cardinality >= 1.0
+
+
+class TestPlanCache:
+    """Counts, join order and the candidate-free estimate of a BGP are
+    computed once per store state and kept in a bounded cache."""
+
+    @pytest.fixture(params=["wco", "hashjoin"])
+    def fresh(self, request, graph):
+        cls = WCOJoinEngine if request.param == "wco" else HashJoinEngine
+        return cls(TripleStore.from_dataset(graph))
+
+    def test_repeated_evaluation_counts_once(self, fresh, monkeypatch):
+        store = fresh.store
+        calls = []
+        real = type(store).count_pattern
+
+        def counting(self, encoded):
+            calls.append(encoded)
+            return real(self, encoded)
+
+        monkeypatch.setattr(type(store), "count_pattern", counting)
+        patterns = [TriplePattern(X, P, Y), TriplePattern(Y, Q, Z)]
+        first = fresh.evaluate(patterns)
+        assert len(calls) == len(patterns)
+        estimate = fresh.estimate(patterns)
+        planned = len(calls)
+        for _ in range(3):
+            assert fresh.evaluate(patterns) == first
+            assert fresh.estimate(patterns) is estimate
+        assert len(calls) == planned
+
+    def test_estimate_is_memoized_until_a_write(self, fresh):
+        patterns = [TriplePattern(X, P, Y)]
+        first = fresh.estimate(patterns)
+        assert fresh.estimate(patterns) is first
+        fresh.store.add(Triple(IRI(EX + "new"), P, IRI(EX + "n0")))
+        assert fresh.estimate(patterns).cardinality == first.cardinality + 1
+
+    def test_cache_is_capped(self, fresh):
+        for i in range(fresh.plan_cache_size + 50):
+            fresh.estimate([TriplePattern(X, IRI(EX + f"p{i}"), Y)])
+        assert len(fresh._plans) == fresh.plan_cache_size
+
+    def test_readers_and_a_writer_share_one_cache(self, fresh):
+        """Reader threads churn the LRU while a writer moves the
+        generation; no reader fails, the cap holds, and the counts the
+        cache serves afterwards are the final store's."""
+        errors, stop = [], threading.Event()
+        fresh.plan_cache_size = 4  # evict on nearly every miss
+
+        def read(offset):
+            try:
+                i = 0
+                while not stop.is_set():
+                    i += 1
+                    fresh.plan([TriplePattern(X, IRI(EX + f"p{(offset + i) % 8}"), Y)])
+                    fresh.plan([TriplePattern(X, P, Y)])
+            except Exception as exc:  # noqa: BLE001 — asserted below
+                errors.append(exc)
+
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        readers = [threading.Thread(target=read, args=(k * 2,)) for k in range(4)]
+        try:
+            for thread in readers:
+                thread.start()
+            for i in range(30):
+                fresh.store.add(Triple(IRI(EX + f"w{i}"), P, IRI(EX + "n0")))
+                time.sleep(0.01)
+        finally:
+            stop.set()
+            for thread in readers:
+                thread.join(10)
+            sys.setswitchinterval(previous)
+        assert not any(thread.is_alive() for thread in readers)
+        assert not errors
+        assert len(fresh._plans) <= fresh.plan_cache_size
+        pattern = TriplePattern(X, P, Y)
+        assert fresh.plan([pattern]).counts[pattern] == 12 + 30
+
+    def test_plan_raced_by_a_write_is_not_cached(self, fresh, monkeypatch):
+        """A write landing while a plan is counted (and another reader
+        already planning under the new generation) must not leave the
+        pre-write counts in the cache."""
+        store = fresh.store
+        real = type(store).count_pattern
+        pattern, other = TriplePattern(X, P, Y), TriplePattern(X, Q, Y)
+        raced = []
+
+        def counting(self, encoded):
+            count = real(self, encoded)
+            if not raced:
+                raced.append(True)
+                store.add(Triple(IRI(EX + "late"), P, IRI(EX + "n0")))
+                fresh.plan([other])
+            return count
+
+        monkeypatch.setattr(type(store), "count_pattern", counting)
+        assert fresh.plan([pattern]).counts[pattern] == 12
+        assert fresh.plan([pattern]).counts[pattern] == 13
 
 
 class TestDecodeHelpers:

@@ -3,7 +3,7 @@
 import pytest
 
 from repro.bgp import WCOJoinEngine
-from repro.core import BETree, BGPNode, CostModel, f_and, f_optional, f_union
+from repro.core import BETree, BGPNode, CostModel, SparqlUOEngine, f_and, f_optional, f_union
 from repro.rdf import Dataset, IRI, Literal
 from repro.sparql import parse_group
 from repro.storage import TripleStore
@@ -70,6 +70,29 @@ class TestResultSizes:
         (bgp,) = tree.root.children
         first = cost_model.bgp_estimate(bgp)
         assert cost_model.bgp_estimate(bgp) is first
+
+    def test_estimate_reflects_a_write(self):
+        d = Dataset()
+        for i in range(5):
+            d.add_spo(IRI(EX + f"s{i}"), IRI(EX + "q"), Literal(f"v{i}"))
+        engine = SparqlUOEngine.for_dataset(d, mode="full")
+        (bgp,) = BETree.from_group(parse_group("{ ?x <http://x/q> ?y }")).root.children
+        assert engine.cost_model.bgp_estimate(bgp).cardinality == 5
+        triples = " ".join(f'<{EX}w{i}> <{EX}q> "w{i}" .' for i in range(500))
+        engine.update(f"INSERT DATA {{ {triples} }}")
+        assert engine.cost_model.bgp_estimate(bgp).cardinality == 505
+        assert engine.bgp_engine.estimate(bgp.patterns).cardinality == 505
+
+    def test_plan_cache_stays_bounded_across_writes(self):
+        d = Dataset()
+        d.add_spo(IRI(EX + "s"), IRI(EX + "q"), Literal("v"))
+        engine = SparqlUOEngine.for_dataset(d, mode="full")
+        for batch in range(200):
+            engine.update(f'INSERT DATA {{ <{EX}s{batch}> <{EX}q{batch}> "v" }}')
+            engine.execute(
+                f"SELECT * WHERE {{ ?s <{EX}q{batch}> ?v . ?s <{EX}q> ?w }}"
+            )
+            assert len(engine.bgp_engine._plans) <= 2
 
 
 class TestLocalCosts:

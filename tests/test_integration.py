@@ -70,14 +70,18 @@ class TestModeComparison:
         for mode, result in results.items():
             assert result.solutions == reference, mode
 
-    def test_optimized_modes_shrink_join_space_on_q13(self, store):
+    @pytest.mark.parametrize("bgp_engine", ["wco", "hashjoin"])
+    @pytest.mark.parametrize("name", ["q1.3", "q2.2"])
+    def test_optimized_modes_shrink_join_space_on_q13(self, store, name, bgp_engine):
         """q1.3 is the paper's CP-effective showcase: a selective anchor
-        feeding nested OPTIONALs."""
-        base = SparqlUOEngine(store, bgp_engine="wco", mode="base").execute(
-            LUBM_QUERIES["q1.3"]
+        feeding nested OPTIONALs.  q2.2 joins three OPTIONAL-bearing
+        groups; only when the first two share more than one certain
+        variable does pruning find anything to cut."""
+        base = SparqlUOEngine(store, bgp_engine=bgp_engine, mode="base").execute(
+            LUBM_QUERIES[name]
         )
-        full = SparqlUOEngine(store, bgp_engine="wco", mode="full").execute(
-            LUBM_QUERIES["q1.3"]
+        full = SparqlUOEngine(store, bgp_engine=bgp_engine, mode="full").execute(
+            LUBM_QUERIES[name]
         )
         assert full.join_space < base.join_space
 
